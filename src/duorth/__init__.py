@@ -7,7 +7,7 @@ from .poly import MINUS_INF, Polynomial, Rational, as_rational
 from .forms import MomentForm, combine
 from .diffop import DiffOperator, LoweringClass
 from .two_orth import (DualPair, EABF, MPSPrefix, RecurrenceCoeffs,
-                       check_dual_identities, dual_moments, dual_pair,
+                       check_dual_identities, dual_pair,
                        dual_sequence, eabf_polys, expand_in_basis,
                        fit_2orth_recurrence, generate, orthogonality_check,
                        structure_coeffs)
@@ -28,7 +28,7 @@ __all__ = [
     "BACKEND", "MINUS_INF", "Polynomial", "Rational", "as_rational",
     "MomentForm", "combine", "DiffOperator", "LoweringClass",
     "DualPair", "EABF", "MPSPrefix", "RecurrenceCoeffs",
-    "check_dual_identities", "dual_moments", "dual_pair", "dual_sequence",
+    "check_dual_identities", "dual_pair", "dual_sequence",
     "eabf_polys", "expand_in_basis", "fit_2orth_recurrence", "generate",
     "orthogonality_check", "structure_coeffs",
     "OperatorMatrix", "eigen_mps", "operator_matrix", "verify_eigen",

@@ -92,7 +92,7 @@ def _load_config(args) -> dict:
     cfg.setdefault("draws", 20)
     cfg.setdefault("target", "verify-theorem4")
     for key in ("n_max", "moment_order", "check_order", "seed", "draws"):
-        if not isinstance(cfg[key], int):
+        if type(cfg[key]) is not int:
             raise InputError(f"config field {key} must be an integer")
     if cfg["n_max"] < 4:
         raise InputError("n_max must be >= 4")
@@ -187,45 +187,38 @@ def _cmd_eigensolve(cfg):
     return EXIT_PASSED, results, verdict
 
 
-def _cmd_theorem4(cfg):
-    J = _get_operator(cfg)
-    result = run_theorem4(J, moment_order=cfg["moment_order"],
-                          check_order=cfg["check_order"])
-    verdict = f"verify-theorem4: {result.status}"
+def _verify(cfg, mode, run, *args):
+    """Run one pipeline entry at the configured orders; its status gives the
+    exit code and the verdict line, an input it rejects an input error."""
+    try:
+        result = run(*args, moment_order=cfg["moment_order"],
+                     check_order=cfg["check_order"])
+    except ValueError as exc:
+        raise InputError(str(exc))
+    verdict = f"{mode}: {result.status}"
     if result.failure:
-        verdict += f" ({_failure_brief(result.failure)})"
+        brief = result.failure.get("tag", result.failure.get("reason", "failure"))
+        verdict += f" ({brief})"
     return _STATUS_EXIT[result.status], result.to_tree(), verdict
+
+
+def _cmd_theorem4(cfg):
+    return _verify(cfg, "verify-theorem4", run_theorem4, _get_operator(cfg))
 
 
 def _cmd_theorem5(cfg):
     J = _get_operator(cfg)
-    tau = _infer_tau(cfg, J)
-    result = run_theorem5(J, tau, moment_order=cfg["moment_order"],
-                          check_order=cfg["check_order"])
-    verdict = f"verify-theorem5: {result.status}"
-    if result.failure:
-        verdict += f" ({_failure_brief(result.failure)})"
-    return _STATUS_EXIT[result.status], result.to_tree(), verdict
+    return _verify(cfg, "verify-theorem5", run_theorem5, J, _infer_tau(cfg, J))
 
 
 def _cmd_identities(cfg):
     J = _get_operator(cfg, required=False)
     rc = _get_recurrence(cfg, required=False)
     if J is not None:
-        result = run_identities_operator(J, moment_order=cfg["moment_order"],
-                                         check_order=cfg["check_order"])
-    elif rc is not None:
-        try:
-            result = run_identities_rc(rc, moment_order=cfg["moment_order"],
-                                       check_order=cfg["check_order"])
-        except ValueError as exc:
-            raise InputError(str(exc))
-    else:
-        raise InputError("verify-identities needs an operator or a recurrence")
-    verdict = f"verify-identities: {result.status}"
-    if result.failure:
-        verdict += f" ({_failure_brief(result.failure)})"
-    return _STATUS_EXIT[result.status], result.to_tree(), verdict
+        return _verify(cfg, "verify-identities", run_identities_operator, J)
+    if rc is not None:
+        return _verify(cfg, "verify-identities", run_identities_rc, rc)
+    raise InputError("verify-identities needs an operator or a recurrence")
 
 
 def _cmd_hahn(cfg):
@@ -256,21 +249,18 @@ def _cmd_hahn(cfg):
 
 
 def _cmd_sweep(cfg):
-    tree = run_sweep(cfg["target"], cfg["seed"], cfg["draws"],
-                     moment_order=cfg["moment_order"],
-                     check_order=cfg["check_order"], n_max=cfg["n_max"])
+    try:
+        tree = run_sweep(cfg["target"], cfg["seed"], cfg["draws"],
+                         moment_order=cfg["moment_order"],
+                         check_order=cfg["check_order"])
+    except ValueError as exc:
+        raise InputError(str(exc))
     summary = tree["summary"]
     code = EXIT_PASSED if summary[VIOLATED] == 0 else EXIT_VIOLATED
     verdict = (f"sweep {cfg['target']}: draws={cfg['draws']} "
                f"passed={summary[PASSED]} hypotheses-unmet={summary[UNMET]} "
                f"violated={summary[VIOLATED]}")
     return code, tree, verdict
-
-
-def _failure_brief(failure: dict) -> str:
-    if "tag" in failure:
-        return failure["tag"]
-    return failure.get("reason", "failure")
 
 
 _HANDLERS = {

@@ -5,7 +5,7 @@ records the exact largest reliable order of its result: derivation keeps
 the order, left-multiplication by a polynomial of degree d consumes d of
 it. Silent use of unreliable high moments is the main correctness hazard
 in moment calculus, so identity checks clamp to the valid range
-explicitly (equal_up_to refuses to compare past it).
+explicitly (require_equal refuses to compare past it).
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from .backend import Rat as Rational
 from .backend import mact, mderive, mleft
-from .errors import OrderExceeded
+from .errors import IdentityViolated, OrderExceeded
 from .poly import Polynomial, Scalar, as_rational
 
 __all__ = ["MomentForm"]
@@ -100,14 +100,6 @@ class MomentForm:
     def __rmul__(self, scalar) -> "MomentForm":
         return self.__mul__(scalar)
 
-    def equal_up_to(self, other: "MomentForm", upto: int) -> bool:
-        """Exact moment-wise equality for indices 0..upto."""
-        if upto > min(self.order, other.order):
-            raise OrderExceeded(
-                f"comparison to order {upto} exceeds reliable orders "
-                f"{self.order} and {other.order}")
-        return self.moments[: upto + 1] == other.moments[: upto + 1]
-
     def __eq__(self, other) -> bool:
         if isinstance(other, MomentForm):
             return self.moments == other.moments
@@ -137,7 +129,6 @@ def combine(pairs: Sequence[tuple], order: int | None = None) -> MomentForm:
 def require_equal(lhs: MomentForm, rhs: MomentForm, upto: int, tag: str):
     """Exact moment-wise equality to order upto; raises IdentityViolated with
     the first differing moment, OrderExceeded if either side is too shallow."""
-    from .errors import IdentityViolated
     if min(lhs.order, rhs.order) < upto:
         raise OrderExceeded(
             f"{tag}: comparison to order {upto} exceeds reliable orders "

@@ -18,7 +18,8 @@ from .errors import (ClosedFormMismatch, HypothesisViolated, NotTwoOrthogonal,
 from .forms import MomentForm, combine, require_equal
 from .poly import ONE, Polynomial, X, as_rational
 from .reporting import Report
-from .two_orth import EABF, DualPair, MPSPrefix, RecurrenceCoeffs, fit_2orth_recurrence
+from .two_orth import (EABF, MPSPrefix, RecurrenceCoeffs, _as_pair,
+                       fit_2orth_recurrence)
 
 __all__ = [
     "Intermediates", "intermediates", "ClassicalSystem",
@@ -94,12 +95,6 @@ def intermediates(J: DiffOperator, rc: RecurrenceCoeffs) -> Intermediates:
     return Intermediates(p0=p0, p1=p1, f0=f0, f1=f1, pbar0=pbar0, pbar1=pbar1,
                          fbar0=fbar0, fbar1=fbar1, lambdas=tuple(lam),
                          E1=E1, E2=E2, A0=A0, A1=A1, B1=B1, B2=B2, F1=F1, F2=F2)
-
-
-def _as_pair(duals) -> tuple:
-    if isinstance(duals, DualPair):
-        return duals.u0, duals.u1
-    return duals[0], duals[1]
 
 
 def j_expansion_check(J: DiffOperator, rc: RecurrenceCoeffs,

@@ -1,12 +1,15 @@
 """End-to-end verification pipelines and seeded sweeps.
 
-A theorem run eigensolves the operator, fits the four-term recurrence,
-checks the scope coupling (fitted beta_0, gamma_1 against the values the
-operator's a_1 implies) and the theorem hypotheses, then verifies every
-functional identity exactly at the requested moment order. Outcomes are
-three-valued: "passed", "hypotheses-unmet" (instance outside theorem
-scope), or "violated" (an exact identity failed; always reported with its
-witness)."""
+Every operator run goes through one pipeline, `_drive`: it eigensolves
+the operator, fits the four-term recurrence and, for a theorem run, checks
+the scope coupling (fitted beta_0, gamma_1 against the values the
+operator's a_1 implies) and the theorem hypotheses. It then verifies every functional
+identity exactly at the requested moment order and, for a theorem run,
+Hahn's property and the classical system. Outcomes are three-valued:
+"passed", "hypotheses-unmet" (instance outside theorem scope), or
+"violated" (an exact identity failed; always reported with its witness).
+Orders outside moment_order >= 6, 0 <= check_order <= moment_order - 4 and
+3 <= hahn_n <= moment_order - 1 raise ValueError before any work."""
 from __future__ import annotations
 
 from .diffop import DiffOperator
@@ -66,131 +69,129 @@ def _violated(report, exc):
     return InstanceResult(VIOLATED, report, failure)
 
 
-def _eigen_and_fit(J, depth, report):
-    try:
-        P, lam = eigen_mps(J, depth)
-    except NonInvertible as exc:
-        return None, _unmet(report, "operator is not an isomorphism", exc)
-    except RepeatedEigenvalue as exc:
-        return None, _unmet(report, "repeated eigenvalue", exc)
-    report.add("eigen-solve", horizon=depth)
-    try:
-        rc = fit_2orth_recurrence(P)
-    except NotTwoOrthogonal as exc:
-        return None, _unmet(report, "eigen-MPS is not 2-orthogonal",
-                            f"index {exc.index}: {exc.reason}")
-    report.add("Eq-rr-2orto-fit", horizon=depth)
-    return (P, lam, rc), None
+def _check_orders(moment_order, check_order, hahn_n):
+    if moment_order < 6:
+        raise ValueError("moment_order must be >= 6")
+    if not 0 <= check_order <= moment_order - 4:
+        raise ValueError("check_order must lie in 0..moment_order - 4")
+    if hahn_n is not None and not 3 <= hahn_n <= moment_order - 1:
+        raise ValueError("hahn_n must lie in 3..moment_order - 1")
 
 
 def _scope_match(J, rc, report):
-    try:
-        b0, g1 = implied_first_coeffs(J)
-    except HypothesisViolated as exc:
-        return _unmet(report, exc.hypothesis, exc.witness)
+    b0, g1 = implied_first_coeffs(J)
     if rc.beta(0) != b0 or rc.gamma(1) != g1:
-        return _unmet(
-            report, "instance outside theorem scope",
+        raise HypothesisViolated(
+            "instance outside theorem scope",
             f"fitted (beta0, gamma1) = ({rc.beta(0)}, {rc.gamma(1)}), "
             f"implied ({b0}, {g1})")
     report.add("scope(beta0,gamma1)", detail="fitted values match implied")
-    return None
 
 
-def _biorthogonality(P, duals, report, k_max=5, m_max=8):
-    for k in range(min(k_max, len(duals) - 1) + 1):
-        for m in range(min(m_max, len(P) - 1) + 1):
+def _closed_forms(report, tag, kind):
+    for entry in ("11", "12", "21", "22"):
+        report.add(tag.format(*entry),
+                   detail=f"defining form equals {kind} closed form")
+
+
+def _recurrence_checks(rc, P, duals, M, report, k_max=5, m_max=8):
+    """Biorthogonality <u_k, P_m> = delta_km as far as both sequences reach,
+    the dual recurrence and decompositions, and the d = 2 orthogonality."""
+    k_max, m_max = min(k_max, len(duals) - 1), min(m_max, len(P) - 1)
+    for k in range(k_max + 1):
+        for m in range(m_max + 1):
             val = duals[k].act(P[m])
             want = 1 if k == m else 0
             if val != want:
                 raise IdentityViolated("biorthogonality", f"<u_{k}, P_{m}>",
                                        val, want)
     report.add("biorthogonality", horizon=f"k<={k_max}, m<={m_max}")
-
-
-def _identity_phase(J, rc, P, lam, duals, check_order, hahn_n, report):
-    """Shared exact-identity checks for both theorem pipelines; raises
-    IdentityViolated / ClosedFormMismatch on the first failure."""
-    if not verify_eigen(J, P[: check_order + 1], lam):
-        raise IdentityViolated("eigen-relation", "polynomial", "J(P_n)",
-                               "lambda_n P_n")
-    report.add("eigen-relation", horizon=check_order)
-    _biorthogonality(P, duals, report)
-    report.merge(check_dual_identities(rc, P, duals, check_order))
+    report.merge(check_dual_identities(rc, P, duals, M))
     report.merge(orthogonality_check(P, duals[:2], m_max=2))
-    report.merge(j_expansion_check(J, rc, duals, check_order))
-    report.merge(lemma_identities_check(J, rc, duals[:2], check_order))
-    verdict = hahn_check(P.polys[: hahn_n + 2])
-    if not verdict:
-        raise IdentityViolated("Hahn", f"derivative sequence to n={hahn_n}",
-                               f"not 2-orthogonal: {verdict.witness}", "2-orthogonal")
-    report.add("Hahn", horizon=hahn_n)
-    return verdict
+
+
+def _drive(name, J, moment_order, check_order, hahn_n=None, hypotheses=None):
+    """The one operator pipeline. `hypotheses(J, rc, report)` is a theorem's
+    stage: it returns the classical system or raises HypothesisViolated /
+    IdentityViolated. Without it the run is the identity suite alone."""
+    _check_orders(moment_order, check_order, hahn_n)
+    report = Report(name)
+    try:
+        try:
+            P, lam = eigen_mps(J, moment_order)
+        except NonInvertible as exc:
+            raise HypothesisViolated("operator is not an isomorphism", exc)
+        except RepeatedEigenvalue as exc:
+            raise HypothesisViolated("repeated eigenvalue", exc)
+        report.add("eigen-solve", horizon=moment_order)
+        try:
+            rc = fit_2orth_recurrence(P)
+        except NotTwoOrthogonal as exc:
+            raise HypothesisViolated("eigen-MPS is not 2-orthogonal",
+                                     f"index {exc.index}: {exc.reason}")
+        report.add("Eq-rr-2orto-fit", horizon=moment_order)
+        if hypotheses:
+            _scope_match(J, rc, report)
+            system = hypotheses(J, rc, report)
+        duals = dual_sequence(P, 5, moment_order)
+        if not verify_eigen(J, P[: check_order + 1], lam):
+            raise IdentityViolated("eigen-relation", "polynomial", "J(P_n)",
+                                   "lambda_n P_n")
+        report.add("eigen-relation", horizon=check_order)
+        _recurrence_checks(rc, P, duals, check_order, report)
+        report.merge(j_expansion_check(J, rc, duals, check_order))
+        report.merge(lemma_identities_check(J, rc, duals[:2], check_order))
+        if not hypotheses:
+            return InstanceResult(PASSED, report)
+        verdict = hahn_check(P.polys[: hahn_n + 2])
+        if not verdict:
+            raise IdentityViolated("Hahn", f"derivative sequence to n={hahn_n}",
+                                   f"not 2-orthogonal: {verdict.witness}",
+                                   "2-orthogonal")
+        report.add("Hahn", horizon=hahn_n)
+        report.merge(classical_system_check(system, duals[:2], check_order))
+    except HypothesisViolated as exc:
+        return _unmet(report, exc.hypothesis, exc.witness)
+    except (IdentityViolated, ClosedFormMismatch) as exc:
+        return _violated(report, exc)
+    return InstanceResult(PASSED, report,
+                          extras=_extras(J, rc, lam, system, verdict, hahn_n))
+
+
+def _theorem4_hypotheses(J, rc, report):
+    if not J.coeff(2).is_zero():
+        raise HypothesisViolated("a2 = 0", J.coeff(2))
+    if rc.alpha(1) != 0:
+        raise IdentityViolated("Eq-p1=0", "alpha_1", rc.alpha(1), 0)
+    report.add("Eq-p1=0", detail="alpha1 = 0")
+    it = intermediates(J, rc)
+    if it.p0 != -2 * J.coeff(1):
+        raise IdentityViolated("Eq-p0", "polynomial", it.p0, -2 * J.coeff(1))
+    report.add("Eq-p0", detail="p0 = -2 a1")
+    system = phi_theorem4(J, rc)
+    _closed_forms(report, "Eq-phi-{},{}", "printed")
+    return system
 
 
 def run_theorem4(J: DiffOperator, *, moment_order: int = 40,
                  check_order: int = 24, hahn_n: int = 10) -> InstanceResult:
     """Full verification of the a_2 = 0 classicality theorem on one operator."""
-    report = Report("theorem4")
-    solved, failed = _eigen_and_fit(J, moment_order, report)
-    if failed:
-        return failed
-    P, lam, rc = solved
-    failed = _scope_match(J, rc, report)
-    if failed:
-        return failed
-    if not J.coeff(2).is_zero():
-        return _unmet(report, "a2 = 0", J.coeff(2))
-    try:
-        duals = dual_sequence(P, 5, moment_order)
-        if rc.alpha(1) != 0:
-            raise IdentityViolated("Eq-p1=0", "alpha_1", rc.alpha(1), 0)
-        report.add("Eq-p1=0", detail="alpha1 = 0")
-        it = intermediates(J, rc)
-        if it.p0 != -2 * J.coeff(1):
-            raise IdentityViolated("Eq-p0", "polynomial", it.p0, -2 * J.coeff(1))
-        report.add("Eq-p0", detail="p0 = -2 a1")
-        try:
-            system = phi_theorem4(J, rc)
-        except HypothesisViolated as exc:
-            return _unmet(report, exc.hypothesis, exc.witness)
-        for tag in ("Eq-phi-1,1", "Eq-phi-1,2", "Eq-phi-2,1", "Eq-phi-2,2"):
-            report.add(tag, detail="defining form equals printed closed form")
-        verdict = _identity_phase(J, rc, P, lam, duals, check_order, hahn_n, report)
-        report.merge(classical_system_check(system, duals[:2], check_order))
-    except (IdentityViolated, ClosedFormMismatch) as exc:
-        return _violated(report, exc)
-    extras = _extras(J, rc, lam, system, verdict, hahn_n)
-    return InstanceResult(PASSED, report, extras=extras)
+    return _drive("theorem4", J, moment_order, check_order, hahn_n,
+                  _theorem4_hypotheses)
 
 
 def run_theorem5(J: DiffOperator, tau, *, moment_order: int = 40,
                  check_order: int = 24, hahn_n: int = 10) -> InstanceResult:
     """Full verification of the a_3 = tau a_2 classicality theorem."""
-    report = Report("theorem5")
-    solved, failed = _eigen_and_fit(J, moment_order, report)
-    if failed:
-        return failed
-    P, lam, rc = solved
-    failed = _scope_match(J, rc, report)
-    if failed:
-        return failed
-    try:
-        duals = dual_sequence(P, 5, moment_order)
-        try:
-            system = varpi_theorem5(J, rc, tau)
-        except HypothesisViolated as exc:
-            return _unmet(report, exc.hypothesis, exc.witness)
-        for tag in ("Table-1-varpi11", "Table-1-varpi12",
-                    "Table-1-varpi21", "Table-1-varpi22"):
-            report.add(tag, detail="defining form equals tabulated closed form")
-        verdict = _identity_phase(J, rc, P, lam, duals, check_order, hahn_n, report)
-        report.merge(classical_system_check(system, duals[:2], check_order))
-    except (IdentityViolated, ClosedFormMismatch) as exc:
-        return _violated(report, exc)
-    extras = _extras(J, rc, lam, system, verdict, hahn_n)
-    extras["tau"] = rat_to_str(tau)
-    return InstanceResult(PASSED, report, extras=extras)
+    def hypotheses(J, rc, report):
+        system = varpi_theorem5(J, rc, tau)
+        _closed_forms(report, "Table-1-varpi{}{}", "tabulated")
+        return system
+
+    result = _drive("theorem5", J, moment_order, check_order, hahn_n, hypotheses)
+    if result.status == PASSED:
+        result.extras["tau"] = rat_to_str(tau)
+    return result
 
 
 def _extras(J, rc, lam, system, hahn_verdict, hahn_n) -> dict:
@@ -218,6 +219,8 @@ def run_identities_rc(rc: RecurrenceCoeffs, *, moment_order: int = 40,
                 len(rc.gammas) + 2)
     if depth < 8:
         raise ValueError("recurrence too shallow: need coefficients to depth 8")
+    if check_order < 0:
+        raise ValueError("check_order must be >= 0")
     M = min(check_order, depth - 4)
     P = generate(rc, depth)
     refit = fit_2orth_recurrence(P)
@@ -226,10 +229,7 @@ def run_identities_rc(rc: RecurrenceCoeffs, *, moment_order: int = 40,
             raise IdentityViolated("round-trip", "recurrence coefficients",
                                    "fit(generate(rc))", "rc")
         report.add("round-trip", horizon=depth)
-        duals = dual_sequence(P, 5, depth - 1)
-        _biorthogonality(P, duals, report)
-        report.merge(check_dual_identities(rc, P, duals, M))
-        report.merge(orthogonality_check(P, duals[:2], m_max=2))
+        _recurrence_checks(rc, P, dual_sequence(P, 5, depth - 1), M, report)
     except IdentityViolated as exc:
         return _violated(report, exc)
     return InstanceResult(PASSED, report, extras={"depth": depth, "order": M})
@@ -240,65 +240,46 @@ def run_identities_operator(J: DiffOperator, *, moment_order: int = 40,
     """Operator-level identity suite: eigensolve, fit, then the recurrence
     suite plus the shifted-transpose expansions and the fundamental-pair
     identities (no theorem-specific hypotheses)."""
-    report = Report("identities")
-    solved, failed = _eigen_and_fit(J, moment_order, report)
-    if failed:
-        return failed
-    P, lam, rc = solved
-    try:
-        duals = dual_sequence(P, 5, moment_order)
-        if not verify_eigen(J, P[: check_order + 1], lam):
-            raise IdentityViolated("eigen-relation", "polynomial",
-                                   "J(P_n)", "lambda_n P_n")
-        report.add("eigen-relation", horizon=check_order)
-        _biorthogonality(P, duals, report)
-        report.merge(check_dual_identities(rc, P, duals, check_order))
-        report.merge(orthogonality_check(P, duals[:2], m_max=2))
-        report.merge(j_expansion_check(J, rc, duals, check_order))
-        report.merge(lemma_identities_check(J, rc, duals[:2], check_order))
-    except (IdentityViolated, ClosedFormMismatch) as exc:
-        return _violated(report, exc)
-    return InstanceResult(PASSED, report)
+    return _drive("identities", J, moment_order, check_order)
 
 
 def run_sweep(target: str, seed: int, draws: int, *, moment_order: int = 40,
-              check_order: int = 24, n_max: int = 12, hahn_n: int = 10) -> dict:
+              check_order: int = 24, hahn_n: int = 10) -> dict:
     """Repeat the selected verification over seeded random admissible
     parameter sets; any violated instance is dumped in full."""
     sampler = ParamSampler(seed)
+    orders = {"moment_order": moment_order, "check_order": check_order}
+
+    def theorem4():
+        draw = sampler.sample_theorem4(moment_order)
+        return draw, run_theorem4(draw["J"], hahn_n=hahn_n, **orders)
+
+    def theorem5():
+        draw = sampler.sample_theorem5(moment_order)
+        return draw, run_theorem5(draw["J"], draw["tau"], hahn_n=hahn_n, **orders)
+
+    def identities():
+        return {}, run_identities_rc(sampler.recurrence(moment_order + 2), **orders)
+
+    draw_and_run = {"verify-theorem4": theorem4, "verify-theorem5": theorem5,
+                    "verify-identities": identities}.get(target)
+    if draw_and_run is None:
+        raise ValueError(f"unknown sweep target {target!r}")
     counts = {PASSED: 0, UNMET: 0, VIOLATED: 0}
     entries = []
     for index in range(draws):
-        if target == "verify-theorem4":
-            draw = sampler.sample_theorem4(moment_order)
-            result = run_theorem4(draw["J"], moment_order=moment_order,
-                                  check_order=check_order, hahn_n=hahn_n)
-            entry = {"draw": index, "shape": draw["shape"],
-                     "status": result.status}
-            if result.status == VIOLATED:
+        draw, result = draw_and_run()
+        entry = {"draw": index, "status": result.status}
+        if "shape" in draw:
+            entry["shape"] = draw["shape"]
+        if "tau" in draw:
+            entry["tau"] = rat_to_str(draw["tau"])
+        if result.status == VIOLATED:
+            if "J" in draw:
                 entry["operator"] = operator_to_tree(draw["J"])
-                entry["detail"] = result.to_tree()
-        elif target == "verify-theorem5":
-            draw = sampler.sample_theorem5(moment_order)
-            result = run_theorem5(draw["J"], draw["tau"],
-                                  moment_order=moment_order,
-                                  check_order=check_order, hahn_n=hahn_n)
-            entry = {"draw": index, "shape": draw["shape"],
-                     "status": result.status, "tau": rat_to_str(draw["tau"])}
-            if result.status == VIOLATED:
-                entry["operator"] = operator_to_tree(draw["J"])
-                entry["detail"] = result.to_tree()
-        elif target == "verify-identities":
-            rc = sampler.recurrence(moment_order + 2)
-            result = run_identities_rc(rc, moment_order=moment_order,
-                                       check_order=check_order)
-            entry = {"draw": index, "status": result.status}
-            if result.status == VIOLATED:
-                entry["detail"] = result.to_tree()
-        else:
-            raise ValueError(f"unknown sweep target {target!r}")
-        if result.status == UNMET and result.failure:
-            entry["reason"] = result.failure.get("reason", "")
+            entry["detail"] = result.to_tree()
+        elif result.status == UNMET:
+            entry["reason"] = result.failure["reason"]
         counts[result.status] += 1
         entries.append(entry)
     return {

@@ -17,6 +17,7 @@ from math import comb
 
 from .backend import Rat as Rational
 from .diffop import DiffOperator
+from .hahn import _integer_reciprocal_m
 from .poly import Polynomial
 from .two_orth import RecurrenceCoeffs
 
@@ -113,8 +114,7 @@ class ParamSampler:
                     continue
             t3 = a3[3]
             g1_implied = Rational(-1, 3) / c1
-            m = _reciprocal_m(t3 * g1_implied)
-            if m is not None:
+            if _integer_reciprocal_m(t3 * g1_implied) is not None:
                 continue  # inadmissible a_3^[3]
             base = [n * c1 + comb(n, 3) * t3 for n in range(horizon + 1)]
             if len(set(base)) != len(base):
@@ -155,12 +155,3 @@ class ParamSampler:
                               a2, tau * a2])
             return {"J": J, "tau": tau, "shape": shape}
 
-
-def _reciprocal_m(value) -> int | None:
-    """m >= 0 with value = 1/(m+1), if any."""
-    if value == 0:
-        return None
-    r = 1 / value
-    if r.denominator == 1 and r >= 1:
-        return int(r.numerator) - 1
-    return None

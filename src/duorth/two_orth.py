@@ -20,7 +20,7 @@ from .reporting import Report
 __all__ = [
     "RecurrenceCoeffs", "MPSPrefix", "DualPair", "generate",
     "expand_in_basis", "structure_coeffs", "fit_2orth_recurrence",
-    "dual_table", "dual_moments", "dual_sequence", "dual_pair",
+    "dual_table", "dual_sequence", "dual_pair",
     "EABF", "eabf_polys", "check_dual_identities", "orthogonality_check",
 ]
 
@@ -217,16 +217,9 @@ def dual_table(P: MPSPrefix | Sequence[Polynomial], N: int) -> list:
     return [expand_in_basis(Polynomial.monomial(n), P) for n in range(N + 1)]
 
 
-def dual_moments(P: MPSPrefix | Sequence[Polynomial], k: int, N: int) -> MomentForm:
-    """Moments of the dual form u_k to order N: (u_k)_n = c_{n,k}."""
-    if k > N:
-        raise OrderExceeded(f"dual index {k} exceeds requested order {N}")
-    table = dual_table(P, N)
-    return MomentForm([table[n][k] for n in range(N + 1)])
-
-
 def dual_sequence(P, k_max: int, N: int) -> list:
-    """[u_0, .., u_{k_max}] to order N from a single basis-change table."""
+    """[u_0, .., u_{k_max}] to order N from a single basis-change table;
+    (u_k)_n = c_{n,k}."""
     if k_max > N:
         raise OrderExceeded(f"dual index {k_max} exceeds requested order {N}")
     table = dual_table(P, N)
@@ -237,6 +230,13 @@ def dual_sequence(P, k_max: int, N: int) -> list:
 def dual_pair(P, N: int) -> DualPair:
     u0, u1 = dual_sequence(P, 1, N)
     return DualPair(u0, u1, P[1])
+
+
+def _as_pair(duals) -> tuple:
+    """(u_0, u_1) from a DualPair or from a dual sequence."""
+    if isinstance(duals, DualPair):
+        return duals.u0, duals.u1
+    return duals[0], duals[1]
 
 
 class EABF:
@@ -374,12 +374,8 @@ def check_dual_identities(rc: RecurrenceCoeffs, P, duals: Sequence[MomentForm],
 def orthogonality_check(P, duals, m_max: int) -> Report:
     """d = 2 orthogonality of the canonical pair: <u_nu, P_m P_n> = 0 for
     n >= 2m + nu + 1, and <u_nu, P_m P_{2m+nu}> != 0, for nu in {0, 1}."""
-    if isinstance(duals, DualPair):
-        pair = (duals.u0, duals.u1)
-    else:
-        pair = tuple(duals)[:2]
     report = Report("orthogonality")
-    for nu, u in enumerate(pair):
+    for nu, u in enumerate(_as_pair(duals)):
         for m in range(m_max + 1):
             reg_index = 2 * m + nu
             if reg_index >= len(P) or P[m].degree + P[reg_index].degree > u.order:

@@ -15,6 +15,7 @@ from duorth import (DiffOperator, MomentForm, ParamSampler, Polynomial,
                     varpi_theorem5)
 from duorth.cli import main as cli_main
 from duorth.errors import HypothesisViolated
+from duorth.forms import require_equal
 from duorth.poly import X
 
 R = Rational
@@ -76,7 +77,7 @@ def test_criterion_1_operator_calculus():
         for n in range(1, 4):
             term = J.shifted(n).transpose_apply(u).left_mul(f.derivative(n))
             rhs = rhs + R((-1) ** n, factorial(n)) * term
-        assert lhs.equal_up_to(rhs, min(lhs.order, rhs.order))
+        require_equal(lhs, rhs, min(lhs.order, rhs.order), "Leibniz")
 
     count = 0  # image-dual transport J(u~_n) = lambda_{n+k} u_{n+k}
     while count < 100:
@@ -92,7 +93,7 @@ def test_criterion_1_operator_calculus():
         for n in range(3):
             lhs = J.transpose_apply(duals_t[n])
             rhs = lams[n] * duals[n + k]
-            assert lhs.equal_up_to(rhs, min(lhs.order, rhs.order, 7))
+            require_equal(lhs, rhs, min(lhs.order, rhs.order, 7), "transport")
             for m in range(8):
                 if P[m].degree <= lhs.order:
                     assert lhs.act(P[m]) == (lams[n] if m == n + k else 0)

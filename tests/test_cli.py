@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import duorth.pipelines as pipelines
 from duorth.cli import main
 
 
@@ -138,6 +139,24 @@ class TestSweepMode:
         assert tree["results"]["summary"]["violated"] == 0
 
 
+class TestNegativeControl:
+    def test_sweep_reports_violated_tag(self, tmp_path, monkeypatch):
+        solve = pipelines.eigen_mps
+
+        def eigen_mps(J, depth):
+            P, lam = solve(J, depth)
+            return P, [v + 1 if n == 3 else v for n, v in enumerate(lam)]
+        monkeypatch.setattr(pipelines, "eigen_mps", eigen_mps)
+        out = str(tmp_path / "s.json")
+        assert run_cli(["sweep", "--target", "verify-theorem4", "--seed", "11",
+                        "--draws", "3", "--order", "24", "--check-order", "12",
+                        "--out", out]) == 1
+        entries = json.loads(open(out).read())["results"]["entries"]
+        tags = {e["detail"]["failure"]["tag"] for e in entries
+                if e["status"] == "violated"}
+        assert tags == {"eigen-relation"}
+
+
 class TestInputErrors:
     def test_missing_config_file(self, tmp_path):
         assert run_cli(["verify-theorem4", "--config",
@@ -159,6 +178,29 @@ class TestInputErrors:
         cfg = write_config(tmp_path, "badrat.json",
                            {"operator": [["1.5"]]})
         assert run_cli(["classify", "--config", cfg,
+                        "--out", str(tmp_path / "r.json")]) == 3
+
+    def test_boolean_integer_field(self, tmp_path):
+        cfg = write_config(tmp_path, "bool.json",
+                           {"operator": [["0"], ["1"]], "draws": True})
+        assert run_cli(["eigensolve", "--config", cfg,
+                        "--out", str(tmp_path / "r.json")]) == 3
+
+    def test_library_order_rule(self, tmp_path):
+        # passes the CLI's check_order <= moment_order - 12 rule but not
+        # the pipeline's moment_order >= 6, 0 <= check_order
+        cfg = write_config(tmp_path, "low.json",
+                           {"operator": [["2"], ["-1", "3"], [], ["1"]],
+                            "moment_order": 5, "check_order": -7})
+        out = str(tmp_path / "r.json")
+        for mode in ("verify-theorem4", "verify-identities", "sweep"):
+            assert run_cli([mode, "--config", cfg, "--out", out]) == 3
+        assert run_cli(["verify-theorem5", "--config", cfg, "--tau", "1",
+                        "--out", out]) == 3
+
+    def test_unknown_sweep_target_in_config(self, tmp_path):
+        cfg = write_config(tmp_path, "tgt.json", {"target": "verify-nothing"})
+        assert run_cli(["sweep", "--config", cfg,
                         "--out", str(tmp_path / "r.json")]) == 3
 
     def test_tau_required_when_a2_zero(self, tmp_path):

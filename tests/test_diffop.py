@@ -5,6 +5,7 @@ import pytest
 from duorth import (DiffOperator, MomentForm, Polynomial, Rational,
                     dual_sequence, eigen_mps)
 from duorth.errors import OrderExceeded
+from duorth.forms import require_equal
 from duorth.poly import ONE, X
 
 R = Rational
@@ -113,7 +114,7 @@ class TestTranspose:
             built = J.shifted(1).transpose_apply(u)
             manual = (u.left_mul(a1) - u.left_mul(a2).derivative()
                       + R(1, 2) * u.left_mul(a3).derivative().derivative())
-            assert built.equal_up_to(manual, min(built.order, manual.order))
+            require_equal(built, manual, min(built.order, manual.order), "J^(1)")
 
     def test_order_precondition(self):
         J = op([1], [0, 1], [], [0, 0, 0, 1])
@@ -220,7 +221,7 @@ class TestLeibniz:
                 from math import factorial
                 rhs = rhs + sign * R(1, factorial(n)) * term
                 sign = -sign
-            assert lhs.equal_up_to(rhs, min(lhs.order, rhs.order))
+            require_equal(lhs, rhs, min(lhs.order, rhs.order), "Leibniz")
 
 
 class TestDualTransport:
@@ -236,7 +237,7 @@ class TestDualTransport:
             for n in range(4):
                 lhs = J.transpose_apply(duals_t[n])
                 rhs = lams[n] * duals[n + k]
-                assert lhs.equal_up_to(rhs, min(lhs.order, rhs.order, 7))
+                require_equal(lhs, rhs, min(lhs.order, rhs.order, 7), "transport")
                 for m in range(8):
                     p = P[m]
                     if p.degree <= lhs.order:

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duorth import MomentForm, Polynomial, Rational
-from duorth.errors import OrderExceeded
+from duorth.errors import IdentityViolated, OrderExceeded
+from duorth.forms import require_equal
 from duorth.poly import X
 
 from conftest import polynomials, rationals
@@ -74,20 +75,24 @@ class TestDerivative:
 
 
 class TestEqualUpTo:
+    """require_equal: exact moment-wise equality up to an order."""
+
     def test_identical(self):
         u = form([1, 2, 3])
-        assert u.equal_up_to(u, 2)
+        require_equal(u, u, 2, "same")
 
     def test_truncation_semantics(self):
         u, v = form([1, 2, 3, 9]), form([1, 2, 3, -9])
-        assert u.equal_up_to(v, 2)
+        require_equal(u, v, 2, "prefix")
 
     def test_difference(self):
-        assert not form([1, 2]).equal_up_to(form([1, 3]), 1)
+        with pytest.raises(IdentityViolated) as err:
+            require_equal(form([1, 2]), form([1, 3]), 1, "diff")
+        assert err.value.tag == "diff" and err.value.where == "moment 1"
 
     def test_out_of_range(self):
         with pytest.raises(OrderExceeded):
-            form([1, 2]).equal_up_to(form([1, 2]), 5)
+            require_equal(form([1, 2]), form([1, 2]), 5, "deep")
 
 
 @given(polynomials(3), st.lists(rationals(), min_size=21, max_size=21))
@@ -100,7 +105,7 @@ def test_product_rule_on_forms(p, moments):
     upto = 20 - int(p.degree) - 1
     lhs = u.left_mul(p).derivative()
     rhs = u.left_mul(p.derivative()) + u.derivative().left_mul(p)
-    assert lhs.equal_up_to(rhs, upto)
+    require_equal(lhs, rhs, upto, "product rule")
 
 
 @given(polynomials(2), polynomials(2), st.lists(rationals(), min_size=16, max_size=16))

@@ -80,7 +80,8 @@ class TestExpansionChecks:
 
     def test_family5(self, inst5):
         J, P, lam, rc, duals = inst5
-        assert j_expansion_check(J, rc, duals, 16).ok
+        tags = {item["tag"] for item in j_expansion_check(J, rc, duals, 16).items}
+        assert {"Eq-9.1", "Eq-9.4", "Eq-7.1", "Eq-8.2"} <= tags
 
     def test_eigen_transport_included(self, inst4):
         J, P, lam, rc, duals = inst4
@@ -243,18 +244,21 @@ class TestClassicalSystemCheck:
         z = Polynomial.zero()
         zero_matrix = ((z, z), (z, z))
         report = classical_system_check((zero_matrix, zero_matrix), duals[:2], 10)
-        assert report.ok
+        assert [item["horizon"] for item in report.items] == [10, 10]
 
     def test_family4_system_holds(self, inst4):
         J, P, lam, rc, duals = inst4
         system = phi_theorem4(J, rc)
-        assert classical_system_check(system, duals[:2], 16).ok
+        report = classical_system_check(system, duals[:2], 16)
+        assert [item["tag"] for item in report.items] == ["Eq-EqClassic-1",
+                                                          "Eq-EqClassic-2"]
 
     def test_family5_system_holds(self, inst5):
         J, P, lam, rc, duals = inst5
         tau = 1 / J.coeff(2)[0]
         system = varpi_theorem5(J, rc, tau)
-        assert classical_system_check(system, duals[:2], 16).ok
+        report = classical_system_check(system, duals[:2], 16)
+        assert [item["horizon"] for item in report.items] == [16, 16]
 
 
 class TestDerivativeMps:

@@ -3,9 +3,11 @@ import json
 
 import pytest
 
-from duorth import (DiffOperator, Polynomial, Rational, run_identities_rc,
-                    run_identities_operator, run_sweep, run_theorem4,
-                    run_theorem5)
+import duorth.pipelines as pipelines
+from duorth import (DiffOperator, Polynomial, Rational, RecurrenceCoeffs,
+                    run_identities_rc, run_identities_operator, run_sweep,
+                    run_theorem4, run_theorem5)
+from duorth.hahn import ClassicalSystem
 from duorth.pipelines import PASSED, UNMET, VIOLATED
 from duorth.poly import ONE
 
@@ -89,6 +91,11 @@ class TestIdentitySuites:
         with pytest.raises(ValueError):
             run_identities_rc(rc, moment_order=20, check_order=8)
 
+    def test_negative_check_order_rejected(self, sampler):
+        with pytest.raises(ValueError):
+            run_identities_rc(sampler.recurrence(26), moment_order=24,
+                              check_order=-3)
+
 
 class TestSweep:
     def test_counts_and_dumps(self):
@@ -122,3 +129,108 @@ class TestSweep:
     def test_unknown_target(self):
         with pytest.raises(ValueError):
             run_sweep("verify-nothing", seed=0, draws=1)
+
+
+README_J = family4(R(2), R(-1), R(3))
+
+
+class TestOrderValidation:
+    @pytest.mark.parametrize("orders", [
+        {"moment_order": 20, "check_order": 24},
+        {"moment_order": 20, "check_order": 17},
+        {"moment_order": 5, "check_order": 1, "hahn_n": 3},
+        {"moment_order": 12, "check_order": 4, "hahn_n": 20},
+        {"moment_order": 12, "check_order": 4, "hahn_n": 12},
+        {"moment_order": 12, "check_order": 4, "hahn_n": 2},
+        {"moment_order": 20, "check_order": -1},
+    ])
+    def test_bad_orders_rejected_before_any_work(self, monkeypatch, orders):
+        def no_work(*args):
+            raise AssertionError("eigen-solve ran before order validation")
+        monkeypatch.setattr(pipelines, "eigen_mps", no_work)
+        with pytest.raises(ValueError):
+            run_theorem4(README_J, **orders)
+        with pytest.raises(ValueError):
+            run_theorem5(README_J, R(1), **orders)
+
+    def test_identities_operator_rejects_deep_check_order(self):
+        with pytest.raises(ValueError):
+            run_identities_operator(README_J, moment_order=20, check_order=17)
+
+    def test_smallest_valid_orders_pass(self):
+        res = run_theorem4(README_J, moment_order=6, check_order=2, hahn_n=5)
+        assert res.status == PASSED
+        assert res.extras["hahn"]["horizon"] == 5
+
+    @pytest.mark.parametrize("orders, horizon", [
+        ((7, 2, 4), "k<=5, m<=7"),  # only P_0..P_7 exist
+        ((28, 14, 8), "k<=5, m<=8"),
+    ])
+    def test_biorthogonality_horizon(self, orders, horizon):
+        moment_order, check_order, hahn_n = orders
+        res = run_theorem4(README_J, moment_order=moment_order,
+                           check_order=check_order, hahn_n=hahn_n)
+        assert res.status == PASSED
+        horizons = {item["tag"]: item.get("horizon") for item in res.report.items}
+        assert horizons["biorthogonality"] == horizon
+
+
+def _perturbed_lambda(monkeypatch):
+    solve = pipelines.eigen_mps
+
+    def eigen_mps(J, depth):
+        P, lam = solve(J, depth)
+        return P, [v + 1 if n == 3 else v for n, v in enumerate(lam)]
+    monkeypatch.setattr(pipelines, "eigen_mps", eigen_mps)
+
+
+def _perturbed_beta2(monkeypatch):
+    fit = pipelines.fit_2orth_recurrence
+
+    def fit_2orth_recurrence(P):
+        rc = fit(P)
+        betas = rc.betas[:2] + (rc.betas[2] + 1,) + rc.betas[3:]
+        return RecurrenceCoeffs(betas, rc.alphas, rc.gammas)
+    monkeypatch.setattr(pipelines, "fit_2orth_recurrence", fit_2orth_recurrence)
+
+
+def _perturbed_phi11(monkeypatch):
+    build = pipelines.phi_theorem4
+
+    def phi_theorem4(J, rc):
+        system = build(J, rc)
+        (phi11, phi12), row2 = system.phi
+        return ClassicalSystem(((phi11 + ONE, phi12), row2), system.psi)
+    monkeypatch.setattr(pipelines, "phi_theorem4", phi_theorem4)
+
+
+class TestNegativeControls:
+    """A corrupted stage output must end in `violated` with the tag of the
+    first identity it breaks."""
+
+    @pytest.mark.parametrize("corrupt, tag", [
+        (_perturbed_lambda, "eigen-relation"),
+        (_perturbed_beta2, "dual-recurrence(n=2)"),
+        (_perturbed_phi11, "Eq-EqClassic-1"),
+    ])
+    def test_theorem4_corruption_is_violated(self, monkeypatch, corrupt, tag):
+        corrupt(monkeypatch)
+        res = run_theorem4(README_J, moment_order=28, check_order=14, hahn_n=8)
+        assert res.status == VIOLATED
+        assert res.failure["tag"] == tag
+
+    def test_identities_operator_sees_lambda_corruption(self, monkeypatch):
+        _perturbed_lambda(monkeypatch)
+        res = run_identities_operator(README_J, moment_order=24, check_order=12)
+        assert res.status == VIOLATED
+        assert res.failure["tag"] == "eigen-relation"
+
+    def test_sweep_dumps_violated_draws(self, monkeypatch):
+        _perturbed_beta2(monkeypatch)
+        tree = run_sweep("verify-theorem4", seed=11, draws=3,
+                         moment_order=24, check_order=12)
+        violated = [e for e in tree["entries"] if e["status"] == VIOLATED]
+        assert violated and tree["summary"][VIOLATED] == len(violated)
+        for entry in violated:
+            assert entry["detail"]["failure"]["tag"] == "dual-recurrence(n=2)"
+            assert "operator" in entry

@@ -3,7 +3,7 @@ moment-level identity suites."""
 import pytest
 
 from duorth import (MPSPrefix, Polynomial, Rational,
-                    RecurrenceCoeffs, check_dual_identities, dual_moments,
+                    RecurrenceCoeffs, check_dual_identities,
                     dual_pair, dual_sequence, eabf_polys, fit_2orth_recurrence,
                     generate, orthogonality_check, structure_coeffs)
 from duorth.errors import (IdentityViolated, MissingCoefficient,
@@ -103,17 +103,17 @@ class TestFit:
 class TestDualMoments:
     def test_first_moment_is_one(self, sampler):
         rc = sampler.recurrence(8)
-        u0 = dual_moments(generate(rc, 8), 0, 7)
+        u0 = dual_sequence(generate(rc, 8), 0, 7)[0]
         assert u0.moment(0) == 1
 
     def test_cubic_family_third_moment(self):
         # x^3 = P_3 + P_0 for the beta=0, alpha=0, gamma=1 family
-        u0 = dual_moments(generate(unit_rc(), 8), 0, 7)
+        u0 = dual_sequence(generate(unit_rc(), 8), 0, 7)[0]
         assert u0.moment(3) == 1
 
     def test_u1_normalization(self, sampler):
         rc = sampler.recurrence(8)
-        u1 = dual_moments(generate(rc, 8), 1, 7)
+        u1 = dual_sequence(generate(rc, 8), 1, 7)[1]
         assert u1.moment(1) == 1 and u1.moment(0) == 0
 
     def test_biorthogonality(self, sampler):
@@ -209,11 +209,12 @@ class TestOrthogonality:
         P = generate(rc, 16)
         duals = dual_sequence(P, 1, 15)
         report = orthogonality_check(P, duals, m_max=2)
-        assert report.ok
+        assert [item["tag"] for item in report.items] == [
+            f"orthogonality(nu={nu},m={m})" for nu in (0, 1) for m in (0, 1, 2)]
 
     def test_specific_products(self, sampler):
         rc = sampler.recurrence(16)
         P = generate(rc, 16)
-        u1 = dual_moments(P, 1, 15)
+        u1 = dual_sequence(P, 1, 15)[1]
         assert u1.act(P[1] * P[3]) != 0
         assert u1.act(P[1] * P[4]) == 0
