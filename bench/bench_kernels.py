@@ -1,24 +1,17 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernel lane against the pure-Python lane.
+"""Time duorth's kernel on its dominant primitives.
 
-Micro-benchmarks drive both kernel modules directly in one process;
-the end-to-end row re-runs a full theorem-4 verification in a child
-process per lane (the lane is fixed at import time).
+Each case drives the kernel module (duorth.backend.kernel) directly and
+reports the best of --repeat runs. End-to-end timings come from
+perfbench/run.py.
 
 Usage: python bench/bench_kernels.py [--repeat N]
 """
 import argparse
 import random
-import subprocess
-import sys
 import time
 
-from duorth import _kernel_py as pure
-
-try:
-    from duorth import _kernel as compiled
-except ImportError:
-    compiled = None
+from duorth.backend import kernel
 
 
 def make_inputs(kernel, seed, count, size):
@@ -82,56 +75,15 @@ CASES = (
     ("moment transpose chain", moment_chain, 4, 24),
 )
 
-END_TO_END = """
-import time
-from duorth import DiffOperator, Polynomial, run_theorem4, BACKEND
-J = DiffOperator([Polynomial([2]), Polynomial([-1, 3]), Polynomial([]),
-                  Polynomial([1])])
-t0 = time.perf_counter()
-res = run_theorem4(J)
-assert res.status == "passed"
-print(f"{BACKEND} {time.perf_counter() - t0:.4f}")
-"""
-
-
-def run_end_to_end(lane):
-    import os
-    env = dict(os.environ, DUORTH_BACKEND=lane)
-    out = subprocess.run([sys.executable, "-c", END_TO_END], env=env,
-                         capture_output=True, text=True, check=True)
-    name, seconds = out.stdout.split()
-    assert name == lane
-    return float(seconds)
-
-
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
 
-    lanes = [("python", pure)]
-    if compiled is not None:
-        lanes.insert(0, ("compiled", compiled))
-    else:
-        print("note: compiled kernel unavailable; timing the pure lane only")
-
-    print(f"{'case':34} " + "".join(f"{name:>12} " for name, _ in lanes)
-          + ("speedup" if compiled else ""))
     for label, fn, count, size in CASES:
-        times = {}
-        for name, kernel in lanes:
-            vecs = make_inputs(kernel, 7, count, size)
-            times[name] = bench(lambda: fn(kernel, vecs), args.repeat)
-        row = f"{label:34} " + "".join(f"{times[n] * 1e3:10.2f}ms " for n, _ in lanes)
-        if compiled is not None:
-            row += f"{times['python'] / times['compiled']:6.1f}x"
-        print(row)
-
-    if compiled is not None:
-        t_c = run_end_to_end("compiled")
-        t_p = run_end_to_end("python")
-        print(f"{'theorem-4 verification (end-to-end)':34} "
-              f"{t_c * 1e3:10.2f}ms {t_p * 1e3:10.2f}ms {t_p / t_c:6.1f}x")
+        vecs = make_inputs(kernel, 7, count, size)
+        seconds = bench(lambda: fn(kernel, vecs), args.repeat)
+        print(f"{label:34} {seconds * 1e3:10.2f}ms")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
-"""Pure-Python kernel lane: exact rational scalars, dense polynomial and
+"""The pure-Python kernel: exact rational scalars, dense polynomial and
 moment-vector primitives.
 
-Conventions shared with the compiled lane (duorth._kernel):
-  * Rat is an exact rational; here it is stdlib fractions.Fraction.
+Conventions:
+  * Rat is an exact rational, the stdlib fractions.Fraction.
   * a polynomial is a tuple of Rat, ascending degree, with no trailing
     zeros; the zero polynomial is the empty tuple.
   * a moment vector is a tuple of Rat indexed by moment order (it may

@@ -1,29 +1,8 @@
-"""Kernel lane selection.
+"""The kernel binding: `kernel` is duorth's one kernel, the pure-Python
+module duorth._kernel_py, and its primitives are re-exported here."""
+from . import _kernel_py as kernel
 
-The compiled kernel (duorth._kernel, Cython) is preferred when it imported
-cleanly; otherwise the pure-Python lane is used. Set DUORTH_BACKEND=python
-or DUORTH_BACKEND=compiled to force a lane (forcing "compiled" raises if
-the extension is unavailable).
-"""
-import os
-
-_forced = os.environ.get("DUORTH_BACKEND")
-
-if _forced == "python":
-    from . import _kernel_py as kernel
-    BACKEND = "python"
-elif _forced == "compiled":
-    from . import _kernel as kernel  # type: ignore[no-redef]
-    BACKEND = "compiled"
-elif _forced is None:
-    try:
-        from . import _kernel as kernel  # type: ignore[no-redef]
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _kernel_py as kernel  # type: ignore[no-redef]
-        BACKEND = "python"
-else:
-    raise RuntimeError(f"DUORTH_BACKEND must be 'python' or 'compiled', got {_forced!r}")
+BACKEND = "python"
 
 Rat = kernel.Rat
 pnorm = kernel.pnorm

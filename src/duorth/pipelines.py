@@ -246,7 +246,10 @@ def run_identities_operator(J: DiffOperator, *, moment_order: int = 40,
 def run_sweep(target: str, seed: int, draws: int, *, moment_order: int = 40,
               check_order: int = 24, hahn_n: int = 10) -> dict:
     """Repeat the selected verification over seeded random admissible
-    parameter sets; any violated instance is dumped in full."""
+    parameter sets; any violated instance is dumped in full. Fewer than
+    one draw raises ValueError."""
+    if draws < 1:
+        raise ValueError("draws must be >= 1")
     sampler = ParamSampler(seed)
     orders = {"moment_order": moment_order, "check_order": check_order}
 

@@ -1,9 +1,8 @@
 """Exact rational scalars and dense univariate polynomials.
 
-The scalar type Rational is the kernel lane's Rat (stdlib Fraction on the
-pure lane, a compiled equivalent otherwise). Polynomials store ascending
-coefficients with no trailing zeros; the zero polynomial has an empty
-coefficient tuple and degree MINUS_INF.
+The scalar type Rational is the kernel's Rat, the stdlib Fraction.
+Polynomials store ascending coefficients with no trailing zeros; the zero
+polynomial has an empty coefficient tuple and degree MINUS_INF.
 """
 from __future__ import annotations
 

@@ -27,6 +27,11 @@ class TestClassify:
         assert res["k"] == 1
         assert res["lambda"][:3] == ["1", "2", "3"]
 
+    def test_orders_not_read(self, tmp_path):
+        cfg = write_config(tmp_path, "d.json", {"operator": [["0"], ["1"]]})
+        assert run_cli(["classify", "--config", cfg, "--order", "20",
+                        "--out", str(tmp_path / "report.json")]) == 0
+
     def test_not_classifiable(self, tmp_path):
         cfg = write_config(tmp_path, "z.json",
                            {"operator": [[], ["1"], ["0", "0", "1"]]})
@@ -78,6 +83,17 @@ class TestTheoremModes:
         code = run_cli(["verify-theorem5", "--config", cfg, "--tau", "0",
                         "--out", out])
         assert code == 2
+
+    def test_theorem4_check_order_up_to_library_rule(self, tmp_path):
+        # check_order may reach moment_order - 4, the pipeline's own rule
+        cfg = write_config(tmp_path, "t4d.json",
+                           {"operator": [["2"], ["-1", "3"], [], ["1"]]})
+        out = str(tmp_path / "report.json")
+        assert run_cli(["verify-theorem4", "--config", cfg, "--order", "28",
+                        "--check-order", "20", "--out", out]) == 0
+        horizons = {item["tag"]: item.get("horizon") for item in
+                    json.loads(open(out).read())["results"]["report"]["items"]}
+        assert horizons["eigen-relation"] == 20
 
     def test_theorem5_tau_inferred(self, tmp_path):
         cfg = write_config(tmp_path, "t5i.json",
@@ -168,10 +184,11 @@ class TestInputErrors:
                         "--out", str(tmp_path / "r.json")]) == 3
 
     def test_bad_order_invariant(self, tmp_path):
+        # breaks the pipeline's check_order <= moment_order - 4
         cfg = write_config(tmp_path, "bad.json",
-                           {"operator": [["1"]], "moment_order": 20,
-                            "check_order": 12})
-        assert run_cli(["classify", "--config", cfg,
+                           {"operator": [["2"], ["-1", "3"], [], ["1"]],
+                            "moment_order": 20, "check_order": 17})
+        assert run_cli(["verify-theorem4", "--config", cfg,
                         "--out", str(tmp_path / "r.json")]) == 3
 
     def test_bad_rational(self, tmp_path):
@@ -187,8 +204,7 @@ class TestInputErrors:
                         "--out", str(tmp_path / "r.json")]) == 3
 
     def test_library_order_rule(self, tmp_path):
-        # passes the CLI's check_order <= moment_order - 12 rule but not
-        # the pipeline's moment_order >= 6, 0 <= check_order
+        # breaks the pipeline's moment_order >= 6 and 0 <= check_order
         cfg = write_config(tmp_path, "low.json",
                            {"operator": [["2"], ["-1", "3"], [], ["1"]],
                             "moment_order": 5, "check_order": -7})
@@ -197,6 +213,10 @@ class TestInputErrors:
             assert run_cli([mode, "--config", cfg, "--out", out]) == 3
         assert run_cli(["verify-theorem5", "--config", cfg, "--tau", "1",
                         "--out", out]) == 3
+
+    def test_sweep_needs_a_draw(self, tmp_path):
+        assert run_cli(["sweep", "--target", "verify-identities", "--draws", "0",
+                        "--out", str(tmp_path / "r.json")]) == 3
 
     def test_unknown_sweep_target_in_config(self, tmp_path):
         cfg = write_config(tmp_path, "tgt.json", {"target": "verify-nothing"})

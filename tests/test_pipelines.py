@@ -4,9 +4,11 @@ import json
 import pytest
 
 import duorth.pipelines as pipelines
-from duorth import (DiffOperator, Polynomial, Rational, RecurrenceCoeffs,
-                    run_identities_rc, run_identities_operator, run_sweep,
-                    run_theorem4, run_theorem5)
+from duorth import (DiffOperator, ParamSampler, Polynomial, Rational,
+                    RecurrenceCoeffs, run_identities_rc,
+                    run_identities_operator, run_sweep, run_theorem4,
+                    run_theorem5)
+from duorth.cli import main
 from duorth.hahn import ClassicalSystem
 from duorth.pipelines import PASSED, UNMET, VIOLATED
 from duorth.poly import ONE
@@ -130,8 +132,19 @@ class TestSweep:
         with pytest.raises(ValueError):
             run_sweep("verify-nothing", seed=0, draws=1)
 
+    @pytest.mark.parametrize("draws", [0, -2])
+    def test_no_draws_rejected(self, monkeypatch, draws):
+        def no_draw(self, *args):
+            raise AssertionError("drew before validating draws")
+        monkeypatch.setattr(ParamSampler, "recurrence", no_draw)
+        with pytest.raises(ValueError):
+            run_sweep("verify-identities", seed=1, draws=draws)
+
 
 README_J = family4(R(2), R(-1), R(3))
+T5_J = DiffOperator([Polynomial([5]), Polynomial([R(1, 2), -2]),
+                     Polynomial([R(3, 2)]), ONE])
+T5_TAU = R(2, 3)
 
 
 class TestOrderValidation:
@@ -161,6 +174,29 @@ class TestOrderValidation:
         res = run_theorem4(README_J, moment_order=6, check_order=2, hahn_n=5)
         assert res.status == PASSED
         assert res.extras["hahn"]["horizon"] == 5
+
+    @pytest.mark.parametrize("moment_order, check_order, hahn_n",
+                             [(6, c, h) for c in range(3) for h in range(3, 6)]
+                             + [(12, 8, 11), (40, 24, 10), (40, 36, 39)])
+    def test_reported_horizons_within_computed(self, moment_order, check_order,
+                                               hahn_n):
+        orders = {"moment_order": moment_order, "check_order": check_order}
+        for res in (run_theorem4(README_J, hahn_n=hahn_n, **orders),
+                    run_theorem5(T5_J, T5_TAU, hahn_n=hahn_n, **orders),
+                    run_identities_operator(README_J, **orders)):
+            assert res.status == PASSED
+            for item in res.report.items:
+                tag, horizon = item["tag"], item.get("horizon")
+                if type(horizon) is not int:
+                    continue
+                if tag in ("eigen-solve", "Eq-rr-2orto-fit"):
+                    assert horizon == moment_order, tag
+                elif tag.startswith("orthogonality("):
+                    assert horizon <= moment_order, tag
+                elif tag == "Hahn":
+                    assert horizon <= moment_order - 1, tag
+                else:
+                    assert horizon <= check_order, tag
 
     @pytest.mark.parametrize("orders, horizon", [
         ((7, 2, 4), "k<=5, m<=7"),  # only P_0..P_7 exist
@@ -194,14 +230,23 @@ def _perturbed_beta2(monkeypatch):
     monkeypatch.setattr(pipelines, "fit_2orth_recurrence", fit_2orth_recurrence)
 
 
-def _perturbed_phi11(monkeypatch):
-    build = pipelines.phi_theorem4
+def _perturbed_entry11(monkeypatch, builder):
+    """Add ONE to the (1,1) entry of the system pipelines.<builder> returns."""
+    build = getattr(pipelines, builder)
 
-    def phi_theorem4(J, rc):
-        system = build(J, rc)
-        (phi11, phi12), row2 = system.phi
-        return ClassicalSystem(((phi11 + ONE, phi12), row2), system.psi)
-    monkeypatch.setattr(pipelines, "phi_theorem4", phi_theorem4)
+    def perturbed(*args):
+        system = build(*args)
+        (e11, e12), row2 = system.phi
+        return ClassicalSystem(((e11 + ONE, e12), row2), system.psi)
+    monkeypatch.setattr(pipelines, builder, perturbed)
+
+
+def _perturbed_phi11(monkeypatch):
+    _perturbed_entry11(monkeypatch, "phi_theorem4")
+
+
+def _perturbed_varpi11(monkeypatch):
+    _perturbed_entry11(monkeypatch, "varpi_theorem5")
 
 
 class TestNegativeControls:
@@ -218,6 +263,24 @@ class TestNegativeControls:
         res = run_theorem4(README_J, moment_order=28, check_order=14, hahn_n=8)
         assert res.status == VIOLATED
         assert res.failure["tag"] == tag
+
+    def test_theorem5_varpi11_corruption_is_violated(self, monkeypatch):
+        _perturbed_varpi11(monkeypatch)
+        res = run_theorem5(T5_J, T5_TAU, moment_order=28, check_order=14,
+                           hahn_n=8)
+        assert res.status == VIOLATED
+        assert res.failure["tag"] == "Eq-EqClassic-1"
+
+    def test_cli_sweep_reports_varpi11_corruption(self, monkeypatch, tmp_path):
+        _perturbed_varpi11(monkeypatch)
+        out = tmp_path / "s.json"
+        assert main(["sweep", "--target", "verify-theorem5", "--seed", "11",
+                     "--draws", "3", "--order", "24", "--check-order", "12",
+                     "--out", str(out)]) == 1
+        entries = json.loads(out.read_text())["results"]["entries"]
+        tags = [e["detail"]["failure"]["tag"] for e in entries
+                if e["status"] == VIOLATED]
+        assert tags and set(tags) == {"Eq-EqClassic-1"}
 
     def test_identities_operator_sees_lambda_corruption(self, monkeypatch):
         _perturbed_lambda(monkeypatch)
