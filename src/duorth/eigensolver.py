@@ -1,9 +1,11 @@
 """Monic eigenpolynomial sequences of degree-preserving operators.
 
 The operator acts on the monomial basis as an upper-triangular matrix in
-the degree grading; the diagonal carries the lambda scalars. For pairwise
-distinct, nonzero lambdas the monic eigenpolynomials exist, are unique,
-and come out of a dense triangular back-substitution.
+the degree grading; the diagonal carries the lambda scalars. A normal-form
+operator of order r maps x^n into span(x^{n-r}, .., x^n), so only the band
+n - r <= tau <= n can be nonzero. For pairwise distinct, nonzero lambdas
+the monic eigenpolynomials exist, are unique, and come out of a banded
+triangular back-substitution: O(r N^2) steps for degrees up to N.
 """
 from __future__ import annotations
 
@@ -37,15 +39,17 @@ class OperatorMatrix:
 def operator_matrix(J: DiffOperator, n_max: int) -> OperatorMatrix:
     """Build the matrix from the closed monomial-image expansion
     M[tau][n] = sum_{nu<=tau} C(n, nu) a_{tau-nu}^[n-nu]  (tau <= n),
-    independently of DiffOperator.apply."""
+    independently of DiffOperator.apply. A term needs n - nu <= J.order,
+    so only the band n - J.order <= tau <= n is filled; the rest is zero."""
     if J.shifted_form:
         raise ValueError("operator_matrix requires a normal-form operator")
     zero = Rational(0)
     rows = [[zero] * (n_max + 1) for _ in range(n_max + 1)]
     for n in range(n_max + 1):
-        for tau in range(n + 1):
+        low = max(0, n - J.order)
+        for tau in range(low, n + 1):
             acc = zero
-            for nu in range(tau + 1):
+            for nu in range(low, tau + 1):
                 c = J.coef(tau - nu, n - nu)
                 if c != 0:
                     acc = acc + comb(n, nu) * c
@@ -59,7 +63,8 @@ def eigen_mps(J: DiffOperator, n_max: int):
     Requires all lambda_n nonzero (NonInvertible otherwise) and pairwise
     distinct up to n_max (RepeatedEigenvalue otherwise: the monic
     eigenpolynomial of degree n would not be guaranteed unique).
-    Returns (MPSPrefix, [lambda_0..lambda_n_max]).
+    Returns (MPSPrefix, [lambda_0..lambda_n_max]). The back-substitution
+    reads only the band of operator_matrix: M[tau][m] = 0 for m > tau + J.order.
     """
     M = operator_matrix(J, n_max)
     lam = M.diagonal()
@@ -75,7 +80,7 @@ def eigen_mps(J: DiffOperator, n_max: int):
         coeffs[n] = Rational(1)
         for tau in range(n - 1, -1, -1):
             acc = Rational(0)
-            for m in range(tau + 1, n + 1):
+            for m in range(tau + 1, min(n, tau + J.order) + 1):
                 e = M.rows[tau][m]
                 if e != 0 and coeffs[m] != 0:
                     acc = acc + e * coeffs[m]

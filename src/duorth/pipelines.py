@@ -9,7 +9,8 @@ Hahn's property and the classical system. Outcomes are three-valued:
 "passed", "hypotheses-unmet" (instance outside theorem scope), or
 "violated" (an exact identity failed; always reported with its witness).
 Orders outside moment_order >= 6, 0 <= check_order <= moment_order - 4 and
-3 <= hahn_n <= moment_order - 1 raise ValueError before any work."""
+3 <= hahn_n <= moment_order - 1 raise ValueError before any work; a theorem
+run given no hahn_n checks Hahn's property to min(10, moment_order - 1)."""
 from __future__ import annotations
 
 from .diffop import DiffOperator
@@ -22,7 +23,8 @@ from .hahn import (classical_system_check, hahn_check, implied_first_coeffs,
 from .reporting import Report
 from .sampling import ParamSampler
 from .serialize import operator_to_tree, poly_to_list, rat_to_str
-from .two_orth import (RecurrenceCoeffs, check_dual_identities, dual_sequence,
+from .two_orth import (RecurrenceCoeffs, check_biorthogonality,
+                       check_dual_identities, dual_sequence,
                        fit_2orth_recurrence, generate, orthogonality_check)
 
 __all__ = ["InstanceResult", "run_theorem4", "run_theorem5",
@@ -98,13 +100,7 @@ def _recurrence_checks(rc, P, duals, M, report, k_max=5, m_max=8):
     """Biorthogonality <u_k, P_m> = delta_km as far as both sequences reach,
     the dual recurrence and decompositions, and the d = 2 orthogonality."""
     k_max, m_max = min(k_max, len(duals) - 1), min(m_max, len(P) - 1)
-    for k in range(k_max + 1):
-        for m in range(m_max + 1):
-            val = duals[k].act(P[m])
-            want = 1 if k == m else 0
-            if val != want:
-                raise IdentityViolated("biorthogonality", f"<u_{k}, P_{m}>",
-                                       val, want)
+    check_biorthogonality(P, duals[: k_max + 1], m_max)
     report.add("biorthogonality", horizon=f"k<={k_max}, m<={m_max}")
     report.merge(check_dual_identities(rc, P, duals, M))
     report.merge(orthogonality_check(P, duals[:2], m_max=2))
@@ -114,6 +110,8 @@ def _drive(name, J, moment_order, check_order, hahn_n=None, hypotheses=None):
     """The one operator pipeline. `hypotheses(J, rc, report)` is a theorem's
     stage: it returns the classical system or raises HypothesisViolated /
     IdentityViolated. Without it the run is the identity suite alone."""
+    if hypotheses and hahn_n is None:
+        hahn_n = min(10, moment_order - 1)
     _check_orders(moment_order, check_order, hahn_n)
     report = Report(name)
     try:
@@ -174,14 +172,14 @@ def _theorem4_hypotheses(J, rc, report):
 
 
 def run_theorem4(J: DiffOperator, *, moment_order: int = 40,
-                 check_order: int = 24, hahn_n: int = 10) -> InstanceResult:
+                 check_order: int = 24, hahn_n: int | None = None) -> InstanceResult:
     """Full verification of the a_2 = 0 classicality theorem on one operator."""
     return _drive("theorem4", J, moment_order, check_order, hahn_n,
                   _theorem4_hypotheses)
 
 
 def run_theorem5(J: DiffOperator, tau, *, moment_order: int = 40,
-                 check_order: int = 24, hahn_n: int = 10) -> InstanceResult:
+                 check_order: int = 24, hahn_n: int | None = None) -> InstanceResult:
     """Full verification of the a_3 = tau a_2 classicality theorem."""
     def hypotheses(J, rc, report):
         system = varpi_theorem5(J, rc, tau)
@@ -244,7 +242,7 @@ def run_identities_operator(J: DiffOperator, *, moment_order: int = 40,
 
 
 def run_sweep(target: str, seed: int, draws: int, *, moment_order: int = 40,
-              check_order: int = 24, hahn_n: int = 10) -> dict:
+              check_order: int = 24, hahn_n: int | None = None) -> dict:
     """Repeat the selected verification over seeded random admissible
     parameter sets; any violated instance is dumped in full. Fewer than
     one draw raises ValueError."""

@@ -1,10 +1,11 @@
 """2-orthogonal monic polynomial sequences.
 
 Generation from recurrence coefficients, four-term-recurrence fitting,
-dual-sequence moments by triangular basis change, the coupled E/A/B/F
-polynomial pairs expressing every dual element over (u_0, u_1), and the
-moment-level identity checks for the dual recurrence, the decompositions
-and the orthogonality conditions.
+dual-sequence moments run forward through the structure expansion of
+x P_k (four terms per row for a 2-orthogonal P, so O(N^2)) and certified
+by biorthogonality, the coupled E/A/B/F polynomial pairs expressing every
+dual element over (u_0, u_1), and the moment-level identity checks for the
+dual recurrence, the decompositions and the orthogonality conditions.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .reporting import Report
 __all__ = [
     "RecurrenceCoeffs", "MPSPrefix", "DualPair", "generate",
     "expand_in_basis", "structure_coeffs", "fit_2orth_recurrence",
-    "dual_table", "dual_sequence", "dual_pair",
+    "dual_sequence", "dual_pair", "check_biorthogonality",
     "EABF", "eabf_polys", "check_dual_identities", "orthogonality_check",
 ]
 
@@ -210,21 +211,53 @@ def fit_2orth_recurrence(P: MPSPrefix | Sequence[Polynomial]) -> RecurrenceCoeff
     return RecurrenceCoeffs(betas, alphas, gammas)
 
 
-def dual_table(P: MPSPrefix | Sequence[Polynomial], N: int) -> list:
-    """Rows c_{n, .} of the basis change x^n = sum_m c_{n,m} P_m, n <= N."""
-    if len(P) <= N:
-        raise OrderExceeded(f"need P_0..P_{N}, got {len(P)} polynomials")
-    return [expand_in_basis(Polynomial.monomial(n), P) for n in range(N + 1)]
+def _x_rows(P) -> list:
+    """Row k lists the nonzero (j, chi_{k,j}) of x P_k = sum_j chi_{k,j} P_j,
+    for k <= len(P) - 2; at most four entries when P is 2-orthogonal."""
+    return [[(j, c) for j, c in enumerate(expand_in_basis(X * P[k], P)) if c != 0]
+            for k in range(len(P) - 1)]
+
+
+def check_biorthogonality(P, duals, m_max: int):
+    """<u_k, P_m> = delta_km for every dual u_k and every m <= m_max;
+    raises IdentityViolated("biorthogonality") at the first failure."""
+    for k, u in enumerate(duals):
+        for m in range(m_max + 1):
+            val = u.act(P[m])
+            want = 1 if k == m else 0
+            if val != want:
+                raise IdentityViolated("biorthogonality", f"<u_{k}, P_{m}>",
+                                       val, want)
 
 
 def dual_sequence(P, k_max: int, N: int) -> list:
-    """[u_0, .., u_{k_max}] to order N from a single basis-change table;
-    (u_k)_n = c_{n,k}."""
+    """[u_0, .., u_{k_max}] to order N, with (u_k)_n = c_{n,k} where
+    x^n = sum_k c_{n,k} P_k.
+
+    The rows run forward, c_{n+1,j} = sum_k c_{n,k} chi_{k,j}, through the
+    expansions x P_k = sum_j chi_{k,j} P_j: the transpose of the four-term
+    recurrence when P is 2-orthogonal. The result is certified by
+    <u_k, P_m> = delta_km for every m <= N, which fixes the duals uniquely
+    (IdentityViolated "biorthogonality" otherwise)."""
     if k_max > N:
         raise OrderExceeded(f"dual index {k_max} exceeds requested order {N}")
-    table = dual_table(P, N)
-    return [MomentForm([table[n][k] for n in range(N + 1)])
-            for k in range(k_max + 1)]
+    if len(P) <= N:
+        raise OrderExceeded(f"need P_0..P_{N}, got {len(P)} polynomials")
+    basis = P[: N + 1]
+    chi = _x_rows(basis)
+    zero = Rational(0)
+    rows = [expand_in_basis(ONE, basis[:1])]
+    for n in range(N):
+        nxt = [zero] * (n + 2)
+        for k, c in enumerate(rows[n]):
+            if c != 0:
+                for j, chi_kj in chi[k]:
+                    nxt[j] += c * chi_kj
+        rows.append(nxt)
+    duals = [MomentForm([row[k] if k < len(row) else zero for row in rows])
+             for k in range(k_max + 1)]
+    check_biorthogonality(basis, duals, N)
+    return duals
 
 
 def dual_pair(P, N: int) -> DualPair:
@@ -373,21 +406,23 @@ def check_dual_identities(rc: RecurrenceCoeffs, P, duals: Sequence[MomentForm],
 
 def orthogonality_check(P, duals, m_max: int) -> Report:
     """d = 2 orthogonality of the canonical pair: <u_nu, P_m P_n> = 0 for
-    n >= 2m + nu + 1, and <u_nu, P_m P_{2m+nu}> != 0, for nu in {0, 1}."""
+    n >= 2m + nu + 1, and <u_nu, P_m P_{2m+nu}> != 0, for nu in {0, 1}.
+    Each row m reads <P_m u_nu, P_n> off one left-multiplication."""
     report = Report("orthogonality")
     for nu, u in enumerate(_as_pair(duals)):
         for m in range(m_max + 1):
             reg_index = 2 * m + nu
             if reg_index >= len(P) or P[m].degree + P[reg_index].degree > u.order:
                 break
-            val = u.act(P[m] * P[reg_index])
+            w = u.left_mul(P[m])
+            val = w.act(P[reg_index])
             if val == 0:
                 raise IdentityViolated(
                     f"regularity(nu={nu},m={m})", f"<u_{nu}, P_{m} P_{reg_index}>",
                     val, "nonzero")
             n = reg_index + 1
             while n < len(P) and P[m].degree + P[n].degree <= u.order:
-                val = u.act(P[m] * P[n])
+                val = w.act(P[n])
                 if val != 0:
                     raise IdentityViolated(
                         f"orthogonality(nu={nu},m={m})",

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from duorth import ParamSampler, Polynomial, Rational
+from duorth import ParamSampler, Polynomial, Rational, two_orth
 
 
 def rationals(max_num: int = 30, max_den: int = 12):
@@ -19,3 +19,19 @@ def polynomials(max_degree: int = 8):
 @pytest.fixture
 def sampler():
     return ParamSampler(20240817)
+
+
+@pytest.fixture
+def corrupt_structure_row(monkeypatch):
+    """corrupt(k) adds 1 to chi_{k,k-2}, the gamma_{k-1} of
+    x P_k = P_{k+1} + .. + gamma_{k-1} P_{k-2}, in the structure rows that
+    dual_sequence runs its recurrence on."""
+    def corrupt(k):
+        x_rows = two_orth._x_rows
+
+        def perturbed(P):
+            chi = x_rows(P)
+            chi[k] = [(j, c + 1 if j == k - 2 else c) for j, c in chi[k]]
+            return chi
+        monkeypatch.setattr(two_orth, "_x_rows", perturbed)
+    return corrupt

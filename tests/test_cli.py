@@ -95,6 +95,19 @@ class TestTheoremModes:
                     json.loads(open(out).read())["results"]["report"]["items"]}
         assert horizons["eigen-relation"] == 20
 
+    def test_low_order_uses_default_hahn_horizon(self, tmp_path):
+        # no --order is too low for the default Hahn horizon
+        cfg = write_config(tmp_path, "t4l.json",
+                           {"operator": [["2"], ["-1", "3"], [], ["1"]]})
+        out = str(tmp_path / "report.json")
+        assert run_cli(["verify-theorem4", "--config", cfg, "--order", "10",
+                        "--check-order", "6", "--out", out]) == 0
+        assert json.loads(open(out).read())["results"]["extras"]["hahn"] == {
+            "positive": True, "horizon": 9}
+        assert run_cli(["sweep", "--target", "verify-theorem4", "--seed", "11",
+                        "--draws", "2", "--order", "8", "--check-order", "4",
+                        "--out", out]) == 0
+
     def test_theorem5_tau_inferred(self, tmp_path):
         cfg = write_config(tmp_path, "t5i.json",
                            {"operator": [["5"], ["1/2", "-2"], ["3/2"], ["1"]],

@@ -17,10 +17,11 @@ def op(*coeff_lists):
 EULER = op([1], [0, 1])
 
 
-def rand_admissible(sampler, n_max):
-    """Random third-order operator with nonzero, pairwise-distinct lambdas."""
+def rand_admissible(sampler, n_max, order=3):
+    """Random operator of the given order with nonzero, pairwise-distinct
+    lambdas."""
     while True:
-        J = sampler.operator(3)
+        J = sampler.operator(order)
         lams = J.lambda_seq(0, n_max)
         if all(v != 0 for v in lams) and len(set(lams)) == len(lams):
             return J
@@ -57,14 +58,17 @@ class TestOperatorMatrix:
                 assert M.entry(t, n) == 0
 
     def test_matches_apply(self, sampler):
-        # the closed double-sum formula against the independent apply() path
-        for _ in range(20):
-            J = sampler.operator(3)
-            M = operator_matrix(J, 9)
-            for n in range(10):
-                image = J.apply(Polynomial.monomial(n))
-                for t in range(n + 1):
-                    assert M.entry(t, n) == image[t]
+        # the closed double-sum formula against the independent apply() path;
+        # orders 4 and 5 reach further below the diagonal than order 3
+        for order, draws in ((3, 20), (4, 5), (5, 5)):
+            for _ in range(draws):
+                J = sampler.operator(order)
+                assert J.order == order
+                M = operator_matrix(J, 9)
+                for n in range(10):
+                    image = J.apply(Polynomial.monomial(n))
+                    for t in range(n + 1):
+                        assert M.entry(t, n) == image[t]
 
 
 class TestEigenMps:
@@ -90,8 +94,8 @@ class TestEigenMps:
             assert verify_eigen(J, P, lam)
 
     def test_unique_vs_gaussian_oracle(self, sampler):
-        for _ in range(5):
-            J = rand_admissible(sampler, 8)
+        for order in (3,) * 5 + (4, 4, 5, 5):
+            J = rand_admissible(sampler, 8, order)
             M = operator_matrix(J, 8)
             P, lam = eigen_mps(J, 8)
             for n in range(1, 9):

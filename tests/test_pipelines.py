@@ -175,6 +175,25 @@ class TestOrderValidation:
         assert res.status == PASSED
         assert res.extras["hahn"]["horizon"] == 5
 
+    def test_default_hahn_horizon_follows_moment_order(self):
+        # without hahn_n the Hahn horizon is min(10, moment_order - 1)
+        for moment_order, horizon in ((10, 9), (8, 7), (11, 10), (28, 10)):
+            orders = {"moment_order": moment_order,
+                      "check_order": moment_order - 4}
+            for res in (run_theorem4(README_J, **orders),
+                        run_theorem5(T5_J, T5_TAU, **orders)):
+                assert res.status == PASSED
+                horizons = {item["tag"]: item.get("horizon")
+                            for item in res.report.items}
+                assert horizons["Hahn"] == horizon
+                assert res.extras["hahn"]["horizon"] == horizon
+
+    def test_sweep_default_hahn_horizon_at_low_order(self):
+        for target in ("verify-theorem4", "verify-theorem5"):
+            tree = run_sweep(target, seed=11, draws=2, moment_order=10,
+                             check_order=6)
+            assert tree["summary"][VIOLATED] == 0
+
     @pytest.mark.parametrize("moment_order, check_order, hahn_n",
                              [(6, c, h) for c in range(3) for h in range(3, 6)]
                              + [(12, 8, 11), (40, 24, 10), (40, 36, 39)])
@@ -281,6 +300,18 @@ class TestNegativeControls:
         tags = [e["detail"]["failure"]["tag"] for e in entries
                 if e["status"] == VIOLATED]
         assert tags and set(tags) == {"Eq-EqClassic-1"}
+
+    def test_dual_certification_through_pipelines(self, sampler,
+                                                  corrupt_structure_row):
+        # row 12 first reaches u_0..u_5 at moment 16, past check_order; the
+        # certification to moment N names it before the orthogonality rows
+        corrupt_structure_row(12)
+        for res in (run_identities_rc(sampler.recurrence(22), moment_order=20,
+                                      check_order=8),
+                    run_theorem4(README_J, moment_order=28, check_order=14,
+                                 hahn_n=8)):
+            assert res.status == VIOLATED
+            assert res.failure["tag"] == "biorthogonality"
 
     def test_identities_operator_sees_lambda_corruption(self, monkeypatch):
         _perturbed_lambda(monkeypatch)

@@ -2,12 +2,13 @@
 moment-level identity suites."""
 import pytest
 
-from duorth import (MPSPrefix, Polynomial, Rational,
+from duorth import (MomentForm, MPSPrefix, Polynomial, Rational,
                     RecurrenceCoeffs, check_dual_identities,
-                    dual_pair, dual_sequence, eabf_polys, fit_2orth_recurrence,
-                    generate, orthogonality_check, structure_coeffs)
+                    dual_pair, dual_sequence, eabf_polys, expand_in_basis,
+                    fit_2orth_recurrence, generate, orthogonality_check,
+                    structure_coeffs)
 from duorth.errors import (IdentityViolated, MissingCoefficient,
-                           NotTwoOrthogonal, ZeroGamma)
+                           NotTwoOrthogonal, OrderExceeded, ZeroGamma)
 from duorth.poly import ONE, X
 from duorth.two_orth import EABF
 
@@ -100,6 +101,17 @@ class TestFit:
             fit_2orth_recurrence([ONE, X, Polynomial.monomial(2)])
 
 
+def basis_change_duals(P, k_max, N):
+    """Reference duals by the direct basis change: expand every x^n over P,
+    then (u_k)_n = c_{n,k}."""
+    table = [expand_in_basis(Polynomial.monomial(n), P) for n in range(N + 1)]
+    return [MomentForm([row[k] for row in table]) for k in range(k_max + 1)]
+
+
+def moments(duals):
+    return [u.moments for u in duals]
+
+
 class TestDualMoments:
     def test_first_moment_is_one(self, sampler):
         rc = sampler.recurrence(8)
@@ -129,6 +141,44 @@ class TestDualMoments:
         rc = sampler.recurrence(8)
         pair = dual_pair(generate(rc, 8), 7)
         assert pair.u0.moment(0) == 1
+
+    def test_matches_basis_change_on_generated(self, sampler):
+        for depth in (8, 16, 30):
+            P = generate(sampler.recurrence(depth), depth)
+            for k_max, N in ((5, depth - 1), (5, depth), (1, depth)):
+                assert (moments(dual_sequence(P, k_max, N))
+                        == moments(basis_change_duals(P, k_max, N)))
+
+    def test_matches_basis_change_on_generic_mps(self, sampler):
+        # an arbitrary MPS has full structure rows, not four terms
+        for n_max in (4, 9, 13):
+            P = sampler.mps_polys(n_max)
+            for k_max in (0, 3, n_max - 1):
+                assert (moments(dual_sequence(P, k_max, n_max - 1))
+                        == moments(basis_change_duals(P, k_max, n_max - 1)))
+
+    def test_matches_basis_change_at_full_index(self, sampler):
+        P = generate(sampler.recurrence(12), 12)
+        Q = sampler.mps_polys(9)
+        for seq, N in ((P, 12), (P, 0), (Q, 9)):
+            assert (moments(dual_sequence(seq, N, N))
+                    == moments(basis_change_duals(seq, N, N)))
+
+    def test_order_limits(self):
+        P = generate(unit_rc(), 6)
+        with pytest.raises(OrderExceeded):
+            dual_sequence(P, 7, 6)  # k_max > N
+        with pytest.raises(OrderExceeded):
+            dual_sequence(P, 2, 7)  # P_7 missing
+
+    def test_corrupted_structure_row_fails_certification(self, sampler,
+                                                         corrupt_structure_row):
+        corrupt_structure_row(2)
+        P = generate(sampler.recurrence(12), 12)
+        with pytest.raises(IdentityViolated) as err:
+            dual_sequence(P, 5, 11)
+        assert err.value.tag == "biorthogonality"
+        assert err.value.where == "<u_0, P_3>"  # (u_0)_3 = gamma_1 + ..
 
 
 class TestEABF:
