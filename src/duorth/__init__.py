@@ -6,11 +6,10 @@ from .backend import BACKEND
 from .poly import MINUS_INF, Polynomial, Rational, as_rational
 from .forms import MomentForm, combine
 from .diffop import DiffOperator, LoweringClass
-from .two_orth import (DualPair, EABF, MPSPrefix, RecurrenceCoeffs,
-                       check_dual_identities, dual_pair,
-                       dual_sequence, eabf_polys, expand_in_basis,
-                       fit_2orth_recurrence, generate, orthogonality_check,
-                       structure_coeffs)
+from .two_orth import (EABF, MPSPrefix, RecurrenceCoeffs,
+                       check_dual_identities, dual_sequence, eabf_polys,
+                       expand_in_basis, fit_2orth_recurrence, generate,
+                       orthogonality_check, structure_rows)
 from .eigensolver import OperatorMatrix, eigen_mps, operator_matrix, verify_eigen
 from .hahn import (ClassicalSystem, HahnVerdict, Intermediates,
                    classical_system_check, derivative_mps, hahn_check,
@@ -27,10 +26,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BACKEND", "MINUS_INF", "Polynomial", "Rational", "as_rational",
     "MomentForm", "combine", "DiffOperator", "LoweringClass",
-    "DualPair", "EABF", "MPSPrefix", "RecurrenceCoeffs",
-    "check_dual_identities", "dual_pair", "dual_sequence",
+    "EABF", "MPSPrefix", "RecurrenceCoeffs",
+    "check_dual_identities", "dual_sequence",
     "eabf_polys", "expand_in_basis", "fit_2orth_recurrence", "generate",
-    "orthogonality_check", "structure_coeffs",
+    "orthogonality_check", "structure_rows",
     "OperatorMatrix", "eigen_mps", "operator_matrix", "verify_eigen",
     "ClassicalSystem", "HahnVerdict", "Intermediates",
     "classical_system_check", "derivative_mps", "hahn_check",

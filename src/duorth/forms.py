@@ -114,12 +114,10 @@ class MomentForm:
         return f"MomentForm([{shown}{tail}], order={self.order})"
 
 
-def combine(pairs: Sequence[tuple], order: int | None = None) -> MomentForm:
+def combine(pairs: Sequence[tuple]) -> MomentForm:
     """sum of f_i * u_i for (f_i, u_i) pairs, clamped to the common order."""
     terms = [u.left_mul(f) for f, u in pairs]
     n = min(t.order for t in terms)
-    if order is not None:
-        n = min(n, order)
     acc = terms[0].truncate(n)
     for t in terms[1:]:
         acc = acc + t.truncate(n)

@@ -18,8 +18,7 @@ from .errors import (ClosedFormMismatch, HypothesisViolated, NotTwoOrthogonal,
 from .forms import MomentForm, combine, require_equal
 from .poly import ONE, Polynomial, X, as_rational
 from .reporting import Report
-from .two_orth import (EABF, MPSPrefix, RecurrenceCoeffs, _as_pair,
-                       fit_2orth_recurrence)
+from .two_orth import EABF, MPSPrefix, RecurrenceCoeffs, fit_2orth_recurrence
 
 __all__ = [
     "Intermediates", "intermediates", "ClassicalSystem",
@@ -177,7 +176,7 @@ def lemma_identities_check(J: DiffOperator, rc: RecurrenceCoeffs, duals,
                            M: int) -> Report:
     """Verify the three fundamental-pair identities to order M
     (tags Eq-Da2u0, Eq-Da2u1, Eq-Dcomplete); duals must carry M + 4."""
-    u0, u1 = _as_pair(duals)
+    u0, u1 = duals[0], duals[1]
     for u in (u0, u1):
         if u.order < M + 4:
             raise OrderExceeded(f"duals must carry order >= {M + 4}")
@@ -421,7 +420,7 @@ def classical_system_check(sys, duals, M: int) -> Report:
         phi, psi = sys.phi, sys.psi
     else:
         phi, psi = sys
-    u0, u1 = _as_pair(duals)
+    u0, u1 = duals[0], duals[1]
     for u in (u0, u1):
         if u.order < M + 3:
             raise OrderExceeded(f"duals must carry order >= {M + 3}")

@@ -102,7 +102,7 @@ def _recurrence_checks(rc, P, duals, M, report, k_max=5, m_max=8):
     k_max, m_max = min(k_max, len(duals) - 1), min(m_max, len(P) - 1)
     check_biorthogonality(P, duals[: k_max + 1], m_max)
     report.add("biorthogonality", horizon=f"k<={k_max}, m<={m_max}")
-    report.merge(check_dual_identities(rc, P, duals, M))
+    report.merge(check_dual_identities(rc, duals, M))
     report.merge(orthogonality_check(P, duals[:2], m_max=2))
 
 

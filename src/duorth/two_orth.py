@@ -1,11 +1,13 @@
 """2-orthogonal monic polynomial sequences.
 
-Generation from recurrence coefficients, four-term-recurrence fitting,
-dual-sequence moments run forward through the structure expansion of
-x P_k (four terms per row for a 2-orthogonal P, so O(N^2)) and certified
-by biorthogonality, the coupled E/A/B/F polynomial pairs expressing every
-dual element over (u_0, u_1), and the moment-level identity checks for the
-dual recurrence, the decompositions and the orthogonality conditions.
+Generation from recurrence coefficients; the structure rows of an MPS,
+the expansions x P_k = sum_j chi_{k,j} P_j (four terms per row for a
+2-orthogonal P), computed once per sequence and read by both the
+four-term-recurrence fit and the dual-sequence moments, which run forward
+through the rows in O(N^2) and are certified by biorthogonality; the
+coupled E/A/B/F polynomial pairs expressing every dual element over
+(u_0, u_1), and the moment-level identity checks for the dual recurrence,
+the decompositions and the orthogonality conditions.
 """
 from __future__ import annotations
 
@@ -19,10 +21,10 @@ from .poly import ONE, Polynomial, X, as_rational
 from .reporting import Report
 
 __all__ = [
-    "RecurrenceCoeffs", "MPSPrefix", "DualPair", "generate",
-    "expand_in_basis", "structure_coeffs", "fit_2orth_recurrence",
-    "dual_sequence", "dual_pair", "check_biorthogonality",
-    "EABF", "eabf_polys", "check_dual_identities", "orthogonality_check",
+    "RecurrenceCoeffs", "MPSPrefix", "generate", "expand_in_basis",
+    "structure_rows", "fit_2orth_recurrence", "dual_sequence",
+    "check_biorthogonality", "EABF", "eabf_polys", "check_dual_identities",
+    "orthogonality_check",
 ]
 
 
@@ -82,9 +84,10 @@ class RecurrenceCoeffs:
 
 
 class MPSPrefix:
-    """A monic polynomial sequence prefix: entry n has degree exactly n."""
+    """A monic polynomial sequence prefix: entry n has degree exactly n.
+    Its structure rows are kept once computed (see structure_rows)."""
 
-    __slots__ = ("polys",)
+    __slots__ = ("polys", "_rows")
 
     def __init__(self, polys: Sequence[Polynomial]):
         ps = tuple(polys)
@@ -92,6 +95,7 @@ class MPSPrefix:
             if p.degree != n or not p.is_monic():
                 raise ValueError(f"entry {n} is not monic of degree {n}")
         object.__setattr__(self, "polys", ps)
+        object.__setattr__(self, "_rows", None)
 
     def __len__(self):
         return len(self.polys)
@@ -109,23 +113,6 @@ class MPSPrefix:
 
     def __repr__(self):
         return f"MPSPrefix(n <= {len(self.polys) - 1})"
-
-
-class DualPair:
-    """The canonical regular functional vector (u_0, u_1)."""
-
-    __slots__ = ("u0", "u1")
-
-    def __init__(self, u0: MomentForm, u1: MomentForm, P1: Polynomial | None = None):
-        if u0.moment(0) != 1:
-            raise ValueError("(u_0)_0 must be 1")
-        if P1 is not None:
-            if u0.act(P1) != 0:
-                raise ValueError("<u_0, P_1> must vanish")
-            if u1.act(P1) != 1:
-                raise ValueError("<u_1, P_1> must be 1")
-        self.u0 = u0
-        self.u1 = u1
 
 
 def generate(rc: RecurrenceCoeffs, n_max: int) -> MPSPrefix:
@@ -165,57 +152,50 @@ def expand_in_basis(q: Polynomial, P: Sequence[Polynomial]) -> list:
     return coefs
 
 
-def structure_coeffs(P: MPSPrefix | Sequence[Polynomial]):
-    """Expand x P_m over the P basis for m <= len(P)-2.
-
-    Returns (betas, chi) with betas[m] the coefficient on P_m, and
-    chi[n] the row (chi_{n,0}, .., chi_{n,n}) from x P_{n+1}.
-    """
-    if len(P) < 2:
-        raise ValueError("need at least P_0 and P_1")
-    betas = []
-    chi = []
-    for m in range(len(P) - 1):
-        coefs = expand_in_basis(X * P[m], P)
-        if coefs[m + 1] != 1:
+def structure_rows(P) -> tuple:
+    """Row k holds the nonzero (j, chi_{k,j}) of x P_k = sum_j chi_{k,j} P_j,
+    ascending in j, for k <= len(P) - 2: at most four entries when P is
+    2-orthogonal. A plain sequence is wrapped in an MPSPrefix; an MPSPrefix
+    computes its rows on first request and keeps them. Row k is the same
+    over every prefix of P that holds P_{k+1}."""
+    if not isinstance(P, MPSPrefix):
+        P = MPSPrefix(P)
+    if P._rows is None:
+        rows = tuple(tuple((j, c) for j, c in enumerate(expand_in_basis(X * p, P))
+                           if c != 0)
+                     for p in P.polys[:-1])
+        if any(row[-1] != (k + 1, 1) for k, row in enumerate(rows)):
             raise ArithmeticError("monicity lost in structure expansion")
-        betas.append(coefs[m])
-        if m >= 1:
-            chi.append(tuple(coefs[:m]))
-    return betas, chi
+        object.__setattr__(P, "_rows", rows)
+    return P._rows
 
 
 def fit_2orth_recurrence(P: MPSPrefix | Sequence[Polynomial]) -> RecurrenceCoeffs:
-    """Recover (beta, alpha, gamma) from the structure expansion.
+    """Read (beta, alpha, gamma) off the structure rows:
+    x P_k = P_{k+1} + beta_k P_k + alpha_k P_{k-1} + gamma_{k-1} P_{k-2}.
 
-    Succeeds iff every chi_{n,nu} with nu < n-1 vanishes exactly and every
-    recovered gamma is nonzero; raises NotTwoOrthogonal with the first
-    failing structure row otherwise.
+    Succeeds iff every chi_{k,j} with j < k-2 vanishes exactly and every
+    gamma is nonzero; raises NotTwoOrthogonal(k - 1, ..) at the first
+    failing row otherwise.
     """
     if len(P) < 4:
         raise ValueError("need P_0..P_3 to fit a four-term recurrence")
-    betas, chi = structure_coeffs(P)
-    alphas = []
-    gammas = []
-    for n, row in enumerate(chi):
-        # row comes from x P_{n+1}; entries chi_{n, 0..n}
-        for nu in range(len(row) - 2):
-            if row[nu] != 0:
-                raise NotTwoOrthogonal(n, f"chi_{{{n},{nu}}} = {row[nu]} != 0")
-        alphas.append(row[-1])  # chi_{n,n} = alpha_{n+1}
-        if len(row) >= 2:
-            g = row[-2]  # chi_{n,n-1} = gamma_n
-            if g == 0:
-                raise NotTwoOrthogonal(n, f"gamma_{n} = 0 breaks regularity")
-            gammas.append(g)
+    zero = Rational(0)
+    betas, alphas, gammas = [], [], []
+    for k, row in enumerate(structure_rows(P)):
+        # witnesses index x P_k's row as k - 1, the chi_{n,nu} of the reports
+        for j, c in row:
+            if j < k - 2:
+                raise NotTwoOrthogonal(k - 1, f"chi_{{{k - 1},{j}}} = {c} != 0")
+        chi = dict(row)
+        betas.append(chi.get(k, zero))
+        if k >= 1:
+            alphas.append(chi.get(k - 1, zero))
+        if k >= 2:
+            if k - 2 not in chi:
+                raise NotTwoOrthogonal(k - 1, f"gamma_{k - 1} = 0 breaks regularity")
+            gammas.append(chi[k - 2])
     return RecurrenceCoeffs(betas, alphas, gammas)
-
-
-def _x_rows(P) -> list:
-    """Row k lists the nonzero (j, chi_{k,j}) of x P_k = sum_j chi_{k,j} P_j,
-    for k <= len(P) - 2; at most four entries when P is 2-orthogonal."""
-    return [[(j, c) for j, c in enumerate(expand_in_basis(X * P[k], P)) if c != 0]
-            for k in range(len(P) - 1)]
 
 
 def check_biorthogonality(P, duals, m_max: int):
@@ -244,9 +224,9 @@ def dual_sequence(P, k_max: int, N: int) -> list:
     if len(P) <= N:
         raise OrderExceeded(f"need P_0..P_{N}, got {len(P)} polynomials")
     basis = P[: N + 1]
-    chi = _x_rows(basis)
+    chi = structure_rows(P)[:N]
     zero = Rational(0)
-    rows = [expand_in_basis(ONE, basis[:1])]
+    rows = [[Rational(1)]]
     for n in range(N):
         nxt = [zero] * (n + 2)
         for k, c in enumerate(rows[n]):
@@ -258,18 +238,6 @@ def dual_sequence(P, k_max: int, N: int) -> list:
              for k in range(k_max + 1)]
     check_biorthogonality(basis, duals, N)
     return duals
-
-
-def dual_pair(P, N: int) -> DualPair:
-    u0, u1 = dual_sequence(P, 1, N)
-    return DualPair(u0, u1, P[1])
-
-
-def _as_pair(duals) -> tuple:
-    """(u_0, u_1) from a DualPair or from a dual sequence."""
-    if isinstance(duals, DualPair):
-        return duals.u0, duals.u1
-    return duals[0], duals[1]
 
 
 class EABF:
@@ -364,7 +332,7 @@ def eabf_polys(rc: RecurrenceCoeffs, n_max: int):
     return E, A, B, F
 
 
-def check_dual_identities(rc: RecurrenceCoeffs, P, duals: Sequence[MomentForm],
+def check_dual_identities(rc: RecurrenceCoeffs, duals: Sequence[MomentForm],
                           M: int) -> Report:
     """Verify the dual four-term recurrence
     x u_n = u_{n-1} + beta_n u_n + alpha_{n+1} u_{n+1} + gamma_{n+1} u_{n+2}
@@ -409,7 +377,7 @@ def orthogonality_check(P, duals, m_max: int) -> Report:
     n >= 2m + nu + 1, and <u_nu, P_m P_{2m+nu}> != 0, for nu in {0, 1}.
     Each row m reads <P_m u_nu, P_n> off one left-multiplication."""
     report = Report("orthogonality")
-    for nu, u in enumerate(_as_pair(duals)):
+    for nu, u in enumerate((duals[0], duals[1])):
         for m in range(m_max + 1):
             reg_index = 2 * m + nu
             if reg_index >= len(P) or P[m].degree + P[reg_index].degree > u.order:

@@ -25,13 +25,13 @@ def sampler():
 def corrupt_structure_row(monkeypatch):
     """corrupt(k) adds 1 to chi_{k,k-2}, the gamma_{k-1} of
     x P_k = P_{k+1} + .. + gamma_{k-1} P_{k-2}, in the structure rows that
-    dual_sequence runs its recurrence on."""
+    the fit and dual_sequence read; the stored rows are left as they are."""
     def corrupt(k):
-        x_rows = two_orth._x_rows
+        rows_of = two_orth.structure_rows
 
         def perturbed(P):
-            chi = x_rows(P)
-            chi[k] = [(j, c + 1 if j == k - 2 else c) for j, c in chi[k]]
-            return chi
-        monkeypatch.setattr(two_orth, "_x_rows", perturbed)
+            rows = rows_of(P)
+            row = tuple((j, c + 1 if j == k - 2 else c) for j, c in rows[k])
+            return rows[:k] + (row,) + rows[k + 1:]
+        monkeypatch.setattr(two_orth, "structure_rows", perturbed)
     return corrupt

@@ -141,7 +141,7 @@ def test_criterion_3_two_orthogonality_round_trip():
         for k in range(6):
             for m in range(9):
                 assert duals[k].act(P[m]) == (1 if k == m else 0)
-        report = check_dual_identities(rc, P, duals, 24)
+        report = check_dual_identities(rc, duals, 24)
         tags = {item["tag"] for item in report.items}
         assert {"Eq-u2", "Eq-u3", "Eq-u4", "Eq-u5"} <= tags
     elapsed = time.monotonic() - started

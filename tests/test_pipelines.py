@@ -7,7 +7,7 @@ import duorth.pipelines as pipelines
 from duorth import (DiffOperator, ParamSampler, Polynomial, Rational,
                     RecurrenceCoeffs, run_identities_rc,
                     run_identities_operator, run_sweep, run_theorem4,
-                    run_theorem5)
+                    run_theorem5, two_orth)
 from duorth.cli import main
 from duorth.hahn import ClassicalSystem
 from duorth.pipelines import PASSED, UNMET, VIOLATED
@@ -303,15 +303,18 @@ class TestNegativeControls:
 
     def test_dual_certification_through_pipelines(self, sampler,
                                                   corrupt_structure_row):
-        # row 12 first reaches u_0..u_5 at moment 16, past check_order; the
-        # certification to moment N names it before the orthogonality rows
+        # row 12 carries gamma_11, which the fit reads too: the recurrence
+        # suite's round trip names it first. In a theorem run it first
+        # reaches u_0..u_5 at moment 16, past check_order; the certification
+        # to moment N names it before the orthogonality rows
         corrupt_structure_row(12)
-        for res in (run_identities_rc(sampler.recurrence(22), moment_order=20,
-                                      check_order=8),
-                    run_theorem4(README_J, moment_order=28, check_order=14,
-                                 hahn_n=8)):
-            assert res.status == VIOLATED
-            assert res.failure["tag"] == "biorthogonality"
+        res = run_identities_rc(sampler.recurrence(22), moment_order=20,
+                                check_order=8)
+        assert res.status == VIOLATED
+        assert res.failure["tag"] == "round-trip"
+        res = run_theorem4(README_J, moment_order=28, check_order=14, hahn_n=8)
+        assert res.status == VIOLATED
+        assert res.failure["tag"] == "biorthogonality"
 
     def test_identities_operator_sees_lambda_corruption(self, monkeypatch):
         _perturbed_lambda(monkeypatch)
@@ -328,3 +331,33 @@ class TestNegativeControls:
         for entry in violated:
             assert entry["detail"]["failure"]["tag"] == "dual-recurrence(n=2)"
             assert "operator" in entry
+
+
+class TestOneExpansionPerSequence:
+    """The fit and the duals read the same structure rows: each x P_k is
+    expanded over its sequence once per verdict."""
+
+    @pytest.fixture
+    def expansions(self, monkeypatch):
+        calls = []
+        expand = two_orth.expand_in_basis
+
+        def counted(q, P):
+            calls.append(len(P))
+            return expand(q, P)
+        monkeypatch.setattr(two_orth, "expand_in_basis", counted)
+        return calls
+
+    def test_identities_rc(self, sampler, expansions):
+        # depth 20: P_0..P_20 has rows k <= 19
+        res = run_identities_rc(sampler.recurrence(22), moment_order=20,
+                                check_order=8)
+        assert res.status == PASSED
+        assert expansions == [21] * 20
+
+    def test_theorem4(self, expansions):
+        # the eigen-MPS P_0..P_28 has 28 rows; the Hahn test fits the
+        # derivative MPS of P_0..P_9, Q_0..Q_8, with 8 rows
+        res = run_theorem4(README_J, moment_order=28, check_order=14, hahn_n=8)
+        assert res.status == PASSED
+        assert expansions == [29] * 28 + [9] * 8
