@@ -9,7 +9,7 @@ triangular back-substitution: O(r N^2) steps for degrees up to N.
 """
 from __future__ import annotations
 
-from math import comb
+from math import comb, lcm
 
 from .backend import Rat as Rational
 from .diffop import DiffOperator
@@ -21,40 +21,44 @@ __all__ = ["OperatorMatrix", "operator_matrix", "eigen_mps", "verify_eigen"]
 
 
 class OperatorMatrix:
-    """Entries M[tau][n] = coefficient of x^tau in J(x^n), 0 <= tau <= n <= n_max."""
+    """Entries M[tau][n] = coefficient of x^tau in J(x^n), 0 <= tau <= n <= n_max.
+    Only the band n - order <= tau <= n is stored, column n as
+    band[n][n - tau]; every other entry is zero."""
 
-    __slots__ = ("n_max", "rows")
+    __slots__ = ("n_max", "band")
 
-    def __init__(self, n_max: int, rows):
+    def __init__(self, n_max: int, band):
         self.n_max = n_max
-        self.rows = rows
+        self.band = band
 
     def entry(self, tau: int, n: int) -> Rational:
-        return self.rows[tau][n]
+        col = self.band[n]
+        return col[n - tau] if 0 <= n - tau < len(col) else Rational(0)
 
     def diagonal(self) -> list:
-        return [self.rows[n][n] for n in range(self.n_max + 1)]
+        return [col[0] for col in self.band]
 
 
 def operator_matrix(J: DiffOperator, n_max: int) -> OperatorMatrix:
     """Build the matrix from the closed monomial-image expansion
     M[tau][n] = sum_{nu<=tau} C(n, nu) a_{tau-nu}^[n-nu]  (tau <= n),
     independently of DiffOperator.apply. A term needs n - nu <= J.order,
-    so only the band n - J.order <= tau <= n is filled; the rest is zero."""
+    so only the band n - J.order <= tau <= n can be nonzero."""
     if J.shifted_form:
         raise ValueError("operator_matrix requires a normal-form operator")
-    zero = Rational(0)
-    rows = [[zero] * (n_max + 1) for _ in range(n_max + 1)]
+    band = []
     for n in range(n_max + 1):
-        low = max(0, n - J.order)
-        for tau in range(low, n + 1):
-            acc = zero
+        low = max(0, n - max(J.order, 0))
+        col = []
+        for tau in range(n, low - 1, -1):
+            acc = Rational(0)
             for nu in range(low, tau + 1):
                 c = J.coef(tau - nu, n - nu)
                 if c != 0:
                     acc = acc + comb(n, nu) * c
-            rows[tau][n] = acc
-    return OperatorMatrix(n_max, rows)
+            col.append(acc)
+        band.append(col)
+    return OperatorMatrix(n_max, band)
 
 
 def eigen_mps(J: DiffOperator, n_max: int):
@@ -63,29 +67,45 @@ def eigen_mps(J: DiffOperator, n_max: int):
     Requires all lambda_n nonzero (NonInvertible otherwise) and pairwise
     distinct up to n_max (RepeatedEigenvalue otherwise: the monic
     eigenpolynomial of degree n would not be guaranteed unique).
-    Returns (MPSPrefix, [lambda_0..lambda_n_max]). The back-substitution
-    reads only the band of operator_matrix: M[tau][m] = 0 for m > tau + J.order.
+    Returns (MPSPrefix, [lambda_0..lambda_n_max]).
+
+    The back-substitution c_tau = sum_m M[tau][m] c_m / (lambda_n - lambda_tau)
+    reads only the band (m <= tau + J.order) and is fraction-free, as in
+    Bareiss's elimination: over the band's common denominator every entry
+    is an integer, x_tau = c_tau prod_{tau<=s<n} (lambda_n - lambda_s) is an
+    integer combination of x_{tau+1..tau+order}, and P_n is reduced once
+    over the denominator prod_{s<n} (lambda_n - lambda_s).
     """
     M = operator_matrix(J, n_max)
     lam = M.diagonal()
-    for n in range(n_max + 1):
-        if lam[n] == 0:
+    first = {}
+    for n, v in enumerate(lam):
+        if v == 0:
             raise NonInvertible(n)
-        for m in range(n):
-            if lam[m] == lam[n]:
-                raise RepeatedEigenvalue(n, m)
+        if v in first:
+            raise RepeatedEigenvalue(n, first[v])
+        first[v] = n
+    den = lcm(*(e.denominator for col in M.band for e in col))
+    band = [[e.numerator * (den // e.denominator) for e in col] for col in M.band]
     polys = []
     for n in range(n_max + 1):
-        coeffs = [Rational(0)] * (n + 1)
-        coeffs[n] = Rational(1)
+        diff = [band[n][0] - band[s][0] for s in range(n)]
+        x = [0] * n + [1]
         for tau in range(n - 1, -1, -1):
-            acc = Rational(0)
+            acc, f = 0, 1
             for m in range(tau + 1, min(n, tau + J.order) + 1):
-                e = M.rows[tau][m]
-                if e != 0 and coeffs[m] != 0:
-                    acc = acc + e * coeffs[m]
-            coeffs[tau] = acc / (lam[n] - lam[tau])
-        polys.append(Polynomial(coeffs))
+                if m > tau + 1:
+                    f *= diff[m - 1]
+                e = band[m][m - tau]
+                if e and x[m]:
+                    acc += e * x[m] * f
+            x[tau] = acc
+        nums, prod = [], 1
+        for tau in range(n):
+            nums.append(x[tau] * prod)
+            prod *= diff[tau]
+        nums.append(prod)
+        polys.append(Polynomial.from_pair(tuple(nums), prod))
     return MPSPrefix(polys), lam
 
 

@@ -1,20 +1,26 @@
 """Linear functionals on polynomials as truncated moment sequences.
 
-A MomentForm of order N stores the moments (u)_0 .. (u)_N. Every operation
-records the exact largest reliable order of its result: derivation keeps
-the order, left-multiplication by a polynomial of degree d consumes d of
-it. Silent use of unreliable high moments is the main correctness hazard
-in moment calculus, so identity checks clamp to the valid range
-explicitly (require_equal refuses to compare past it).
+A MomentForm of order N stores the moments (u)_0 .. (u)_N as integer
+numerators over one shared denominator: the canonical pair (nums, den)
+has len(nums) = N + 1, den > 0 and gcd(content(nums), den) = 1, so the
+zero form of order N is ((0,) * (N + 1), 1). The kernel primitives run on
+the integers and each result is reduced once; the moments are Rationals
+only at the boundary (moments, moment, act's value).
+
+Every operation records the exact largest reliable order of its result:
+derivation keeps the order, left-multiplication by a polynomial of degree
+d consumes d of it. Silent use of unreliable high moments is the main
+correctness hazard in moment calculus, so identity checks clamp to the
+valid range explicitly (require_equal refuses to compare past it).
 """
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
 from .backend import Rat as Rational
-from .backend import mact, mderive, mleft
+from .backend import mact, mderive, mleft, qcommon, qreduce
 from .errors import IdentityViolated, OrderExceeded
-from .poly import Polynomial, Scalar, as_rational
+from .poly import Polynomial, Scalar, as_rational, common_denominator
 
 __all__ = ["MomentForm"]
 
@@ -22,42 +28,53 @@ __all__ = ["MomentForm"]
 class MomentForm:
     """Truncated linear functional: moments (u)_n for 0 <= n <= order."""
 
-    __slots__ = ("moments",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, moments: Iterable[Scalar]):
-        ms = tuple(as_rational(m) for m in moments)
-        if not ms:
+        nums, den = common_denominator(moments)
+        if not nums:
             raise ValueError("a moment form needs at least the moment (u)_0")
-        object.__setattr__(self, "moments", ms)
+        self.nums, self.den = nums, den
 
     @staticmethod
-    def _wrap(moments: tuple) -> "MomentForm":
+    def _wrap(nums: tuple, den: int) -> "MomentForm":
+        """Wrap a pair that is canonical already."""
         u = MomentForm.__new__(MomentForm)
-        object.__setattr__(u, "moments", moments)
+        u.nums, u.den = nums, den
         return u
+
+    @staticmethod
+    def from_pair(nums: tuple, den: int) -> "MomentForm":
+        """Wrap nums/den after one reduction."""
+        return MomentForm._wrap(*qreduce(nums, den))
 
     @classmethod
     def zero(cls, order: int) -> "MomentForm":
-        return cls._wrap((Rational(0),) * (order + 1))
+        return cls._wrap((0,) * (order + 1), 1)
+
+    @property
+    def moments(self) -> tuple:
+        """The moments as reduced Rationals."""
+        return tuple([Rational(m, self.den) for m in self.nums])
 
     @property
     def order(self) -> int:
-        return len(self.moments) - 1
+        return len(self.nums) - 1
 
     def moment(self, n: int) -> Rational:
         if n > self.order:
             raise OrderExceeded(f"moment index {n} exceeds reliable order {self.order}")
-        return self.moments[n]
+        return Rational(self.nums[n], self.den)
 
     def is_zero(self) -> bool:
-        return all(m == 0 for m in self.moments)
+        return not any(self.nums)
 
     def act(self, p: Polynomial) -> Rational:
         """<u, p>; requires deg p <= order."""
         if p.degree > self.order:
             raise OrderExceeded(
                 f"acting on degree {p.degree} needs moments past order {self.order}")
-        return mact(p.coeffs, self.moments)
+        return Rational(mact(p.nums, self.nums), p.den * self.den)
 
     def left_mul(self, f: Polynomial) -> "MomentForm":
         """The form f*u, with (fu)_n = sum_i f_i (u)_{n+i}.
@@ -69,48 +86,52 @@ class MomentForm:
         if f.degree > self.order:
             raise OrderExceeded(
                 f"left-multiplying by degree {f.degree} needs moments past order {self.order}")
-        return self._wrap(mleft(f.coeffs, self.moments))
+        return self.from_pair(mleft(f.nums, self.nums), f.den * self.den)
 
     def derivative(self) -> "MomentForm":
         """The form Du with (Du)_n = -n (u)_{n-1}; order is preserved."""
-        return self._wrap(mderive(self.moments))
+        return self.from_pair(mderive(self.nums), self.den)
 
     def truncate(self, order: int) -> "MomentForm":
         if order > self.order:
             raise OrderExceeded(f"cannot extend order {self.order} to {order}")
-        return self._wrap(self.moments[: order + 1])
+        return self.from_pair(self.nums[: order + 1], self.den)
+
+    def _common(self, other: "MomentForm") -> tuple:
+        """Both moment vectors clamped to the common order, over one denominator."""
+        n = min(self.order, other.order) + 1
+        return qcommon(self.nums[:n], self.den, other.nums[:n], other.den)
 
     def __add__(self, other: "MomentForm") -> "MomentForm":
-        n = min(self.order, other.order)
-        return self._wrap(tuple(a + b for a, b in
-                                zip(self.moments[: n + 1], other.moments[: n + 1])))
+        a, b, den = self._common(other)
+        return self.from_pair(tuple([x + y for x, y in zip(a, b)]), den)
 
     def __sub__(self, other: "MomentForm") -> "MomentForm":
-        n = min(self.order, other.order)
-        return self._wrap(tuple(a - b for a, b in
-                                zip(self.moments[: n + 1], other.moments[: n + 1])))
+        a, b, den = self._common(other)
+        return self.from_pair(tuple([x - y for x, y in zip(a, b)]), den)
 
     def __neg__(self) -> "MomentForm":
-        return self._wrap(tuple(-m for m in self.moments))
+        return self._wrap(tuple([-m for m in self.nums]), self.den)
 
     def __mul__(self, scalar) -> "MomentForm":
         s = as_rational(scalar)
-        return self._wrap(tuple(m * s for m in self.moments))
+        return self.from_pair(tuple([m * s.numerator for m in self.nums]),
+                          self.den * s.denominator)
 
     def __rmul__(self, scalar) -> "MomentForm":
         return self.__mul__(scalar)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MomentForm):
-            return self.moments == other.moments
+            return self.nums == other.nums and self.den == other.den
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.moments)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
-        shown = ", ".join(str(m) for m in self.moments[:6])
-        tail = ", ..." if len(self.moments) > 6 else ""
+        shown = ", ".join(str(self.moment(n)) for n in range(min(6, len(self.nums))))
+        tail = ", ..." if len(self.nums) > 6 else ""
         return f"MomentForm([{shown}{tail}], order={self.order})"
 
 
@@ -131,6 +152,7 @@ def require_equal(lhs: MomentForm, rhs: MomentForm, upto: int, tag: str):
         raise OrderExceeded(
             f"{tag}: comparison to order {upto} exceeds reliable orders "
             f"{lhs.order}/{rhs.order}")
-    for j in range(upto + 1):
-        if lhs.moments[j] != rhs.moments[j]:
-            raise IdentityViolated(tag, f"moment {j}", lhs.moments[j], rhs.moments[j])
+    a, b, _ = qcommon(lhs.nums[: upto + 1], lhs.den, rhs.nums[: upto + 1], rhs.den)
+    if a != b:
+        j = next(j for j, (x, y) in enumerate(zip(a, b)) if x != y)
+        raise IdentityViolated(tag, f"moment {j}", lhs.moment(j), rhs.moment(j))

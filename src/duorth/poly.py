@@ -1,15 +1,22 @@
 """Exact rational scalars and dense univariate polynomials.
 
 The scalar type Rational is the kernel's Rat, the stdlib Fraction.
-Polynomials store ascending coefficients with no trailing zeros; the zero
-polynomial has an empty coefficient tuple and degree MINUS_INF.
+A Polynomial stores integer numerators over one shared denominator, as
+FLINT's fmpq_poly does: the canonical pair (nums, den) has ascending nums
+with no trailing zeros, den > 0 and gcd(content(nums), den) = 1, and the
+zero polynomial is ((), 1) with degree MINUS_INF. Arithmetic runs the
+kernel primitives on the integers and reduces once per result; the
+coefficients are Rationals only at the boundary (coeffs, __getitem__,
+leading), which no hot loop reads.
 """
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, Union
 
 from .backend import Rat as Rational
-from .backend import padd, pderiv, pmul, pneg, pnorm, pscale, psub
+from .backend import (padd, pderiv, pmul, pneg, pnorm, pscale, psub, qcommon,
+                      qreduce)
 
 __all__ = ["Rational", "Polynomial", "MINUS_INF", "as_rational", "X", "ONE"]
 
@@ -26,23 +33,39 @@ def as_rational(value: Scalar) -> Rational:
     return Rational(value)
 
 
-class Polynomial:
-    """Immutable dense polynomial over the exact rationals."""
+def common_denominator(values) -> tuple:
+    """(nums, den) with values[i] = nums[i] / den, den the lcm of the
+    reduced denominators, so gcd(content(nums), den) = 1."""
+    rs = [as_rational(v) for v in values]
+    den = lcm(*(r.denominator for r in rs))
+    return tuple([r.numerator * (den // r.denominator) for r in rs]), den
 
-    __slots__ = ("coeffs",)
+
+class Polynomial:
+    """Immutable dense polynomial over the exact rationals, stored as the
+    canonical pair (nums, den)."""
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        object.__setattr__(self, "coeffs", pnorm([as_rational(c) for c in coeffs]))
+        nums, den = common_denominator(coeffs)
+        self.nums, self.den = pnorm(nums), den
 
     @staticmethod
-    def _wrap(coeffs: tuple) -> "Polynomial":
+    def _wrap(nums: tuple, den: int) -> "Polynomial":
+        """Wrap a pair that is canonical already."""
         p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "coeffs", coeffs)
+        p.nums, p.den = nums, den
         return p
+
+    @staticmethod
+    def from_pair(nums: tuple, den: int) -> "Polynomial":
+        """Wrap nums/den (nums without trailing zeros) after one reduction."""
+        return Polynomial._wrap(*qreduce(nums, den))
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls._wrap(())
+        return cls._wrap((), 1)
 
     @classmethod
     def constant(cls, c: Scalar) -> "Polynomial":
@@ -53,50 +76,58 @@ class Polynomial:
         return cls([0] * degree + [c])
 
     @property
+    def coeffs(self) -> tuple:
+        """The ascending coefficients as reduced Rationals."""
+        return tuple([Rational(c, self.den) for c in self.nums])
+
+    @property
     def degree(self):
         """Degree as an int, or MINUS_INF for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else MINUS_INF
+        return len(self.nums) - 1 if self.nums else MINUS_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def leading(self) -> Rational:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Rational(self.nums[-1], self.den)
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.nums) and self.nums[-1] == self.den
 
     def __getitem__(self, i: int) -> Rational:
         if i < 0:
             raise IndexError("coefficient index must be nonnegative")
-        return self.coeffs[i] if i < len(self.coeffs) else Rational(0)
+        return Rational(self.nums[i], self.den) if i < len(self.nums) else Rational(0)
 
     def __iter__(self):
         return iter(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums and self.den == other.den
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self._wrap(padd(self.coeffs, other.coeffs))
+        a, b, den = qcommon(self.nums, self.den, other.nums, other.den)
+        return self.from_pair(padd(a, b), den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self._wrap(psub(self.coeffs, other.coeffs))
+        a, b, den = qcommon(self.nums, self.den, other.nums, other.den)
+        return self.from_pair(psub(a, b), den)
 
     def __neg__(self) -> "Polynomial":
-        return self._wrap(pneg(self.coeffs))
+        return self._wrap(pneg(self.nums), self.den)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            return self._wrap(pmul(self.coeffs, other.coeffs))
-        return self._wrap(pscale(self.coeffs, as_rational(other)))
+            return self.from_pair(pmul(self.nums, other.nums), self.den * other.den)
+        s = as_rational(other)
+        return self.from_pair(pscale(self.nums, s.numerator), self.den * s.denominator)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -105,17 +136,17 @@ class Polynomial:
         s = as_rational(scalar)
         if s == 0:
             raise ZeroDivisionError("polynomial division by zero scalar")
-        return self._wrap(pscale(self.coeffs, 1 / s))
+        return self.from_pair(pscale(self.nums, s.denominator), self.den * s.numerator)
 
     def derivative(self, order: int = 1) -> "Polynomial":
         """Exact order-th derivative; the degree drops by exactly order
         (or the result is zero)."""
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
-        return self._wrap(pderiv(self.coeffs, order))
+        return self.from_pair(pderiv(self.nums, order), self.den)
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):

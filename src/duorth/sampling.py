@@ -80,11 +80,13 @@ class ParamSampler:
             coeffs.append(self.poly(self.rng.randint(0, nu - k)))
         return DiffOperator(coeffs)
 
-    def _a0_avoiding(self, base: list) -> Rational:
-        """A constant a_0 making every lambda_n = a_0 + base_n nonzero."""
+    def _a0_avoiding(self, nums: set, den: int) -> Rational:
+        """A constant a_0 making every lambda_n = a_0 + nums_n / den nonzero:
+        a_0 + nums_n / den = 0 iff -a_0 den is the integer nums_n."""
         while True:
             a0 = self.rat(nonzero=True)
-            if all(a0 + b != 0 for b in base):
+            v = -a0 * den
+            if v.denominator != 1 or v.numerator not in nums:
                 return a0
 
     def sample_theorem4(self, horizon: int) -> dict:
@@ -116,10 +118,12 @@ class ParamSampler:
             g1_implied = Rational(-1, 3) / c1
             if _integer_reciprocal_m(t3 * g1_implied) is not None:
                 continue  # inadmissible a_3^[3]
-            base = [n * c1 + comb(n, 3) * t3 for n in range(horizon + 1)]
-            if len(set(base)) != len(base):
+            # lambda_n - a_0 = n c_1 + C(n, 3) t_3, over the denominator q1 q3
+            (p1, q1), (p3, q3) = c1.as_integer_ratio(), t3.as_integer_ratio()
+            base = {n * p1 * q3 + comb(n, 3) * p3 * q1 for n in range(horizon + 1)}
+            if len(base) != horizon + 1:
                 continue  # repeated eigenvalues
-            a0 = self._a0_avoiding(base)
+            a0 = self._a0_avoiding(base, q1 * q3)
             J = DiffOperator([Polynomial([a0]), Polynomial([c0, c1]),
                               Polynomial.zero(), a3])
             return {"J": J, "shape": shape}
@@ -149,8 +153,8 @@ class ParamSampler:
                 a2 = Polynomial([s0, self.rat(nonzero=True)])
                 tau = self.rat(nonzero=True)
             # a_2^[2] = a_3^[3] = 0 here, so lambda_n = a_0 + n c_1: distinct
-            base = [n * c1 for n in range(horizon + 1)]
-            a0 = self._a0_avoiding(base)
+            p1, q1 = c1.as_integer_ratio()
+            a0 = self._a0_avoiding({n * p1 for n in range(horizon + 1)}, q1)
             J = DiffOperator([Polynomial([a0]), Polynomial([c0, c1]),
                               a2, tau * a2])
             return {"J": J, "tau": tau, "shape": shape}

@@ -11,9 +11,11 @@ the decompositions and the orthogonality conditions.
 """
 from __future__ import annotations
 
+from math import lcm
 from typing import Sequence
 
 from .backend import Rat as Rational
+from .backend import qreduce
 from .errors import (IdentityViolated, MissingCoefficient, NotTwoOrthogonal,
                      OrderExceeded, ZeroGamma)
 from .forms import MomentForm, combine, require_equal as _require_equal
@@ -224,17 +226,23 @@ def dual_sequence(P, k_max: int, N: int) -> list:
     if len(P) <= N:
         raise OrderExceeded(f"need P_0..P_{N}, got {len(P)} polynomials")
     basis = P[: N + 1]
+    # the rows run over integers: chi scaled to one denominator L, each
+    # row c_n as (nums, den) reduced once
     chi = structure_rows(P)[:N]
-    zero = Rational(0)
-    rows = [[Rational(1)]]
+    L = lcm(*(c.denominator for row in chi for _, c in row))
+    chi = [[(j, c.numerator * (L // c.denominator)) for j, c in row] for row in chi]
+    rows = [((1,), 1)]
     for n in range(N):
-        nxt = [zero] * (n + 2)
-        for k, c in enumerate(rows[n]):
-            if c != 0:
+        nums, den = rows[n]
+        nxt = [0] * (n + 2)
+        for k, c in enumerate(nums):
+            if c:
                 for j, chi_kj in chi[k]:
                     nxt[j] += c * chi_kj
-        rows.append(nxt)
-    duals = [MomentForm([row[k] if k < len(row) else zero for row in rows])
+        rows.append(qreduce(tuple(nxt), den * L))
+    D = lcm(*(den for _, den in rows))
+    duals = [MomentForm.from_pair(tuple([nums[k] * (D // den) if k < len(nums) else 0
+                                         for nums, den in rows]), D)
              for k in range(k_max + 1)]
     check_biorthogonality(basis, duals, N)
     return duals
