@@ -45,7 +45,8 @@ class MomentForm:
 
     @staticmethod
     def from_pair(nums: tuple, den: int) -> "MomentForm":
-        """Wrap nums/den after one reduction."""
+        """The form nums/den (int nums, den != 0), reduced once to its
+        canonical pair."""
         return MomentForm._wrap(*qreduce(nums, den))
 
     @classmethod

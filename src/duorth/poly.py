@@ -60,7 +60,8 @@ class Polynomial:
 
     @staticmethod
     def from_pair(nums: tuple, den: int) -> "Polynomial":
-        """Wrap nums/den (nums without trailing zeros) after one reduction."""
+        """The polynomial nums/den (int nums without trailing zeros, den != 0),
+        reduced once to its canonical pair."""
         return Polynomial._wrap(*qreduce(nums, den))
 
     @classmethod
