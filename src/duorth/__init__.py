@@ -6,9 +6,8 @@ from .backend import BACKEND
 from .poly import MINUS_INF, Polynomial, Rational, as_rational
 from .forms import MomentForm, combine
 from .diffop import DiffOperator, LoweringClass
-from .two_orth import (EABF, MPSPrefix, RecurrenceCoeffs,
-                       check_dual_identities, dual_sequence, eabf_polys,
-                       expand_in_basis, fit_2orth_recurrence, generate,
+from .two_orth import (MPSPrefix, RecurrenceCoeffs, check_dual_identities,
+                       dual_pairs, dual_sequence, expand_in_basis, fit_2orth_recurrence, generate,
                        orthogonality_check, structure_rows)
 from .eigensolver import OperatorMatrix, eigen_mps, operator_matrix, verify_eigen
 from .hahn import (ClassicalSystem, HahnVerdict, Intermediates,
@@ -26,9 +25,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BACKEND", "MINUS_INF", "Polynomial", "Rational", "as_rational",
     "MomentForm", "combine", "DiffOperator", "LoweringClass",
-    "EABF", "MPSPrefix", "RecurrenceCoeffs",
-    "check_dual_identities", "dual_sequence",
-    "eabf_polys", "expand_in_basis", "fit_2orth_recurrence", "generate",
+    "MPSPrefix", "RecurrenceCoeffs",
+    "check_dual_identities", "dual_pairs", "dual_sequence",
+    "expand_in_basis", "fit_2orth_recurrence", "generate",
     "orthogonality_check", "structure_rows",
     "OperatorMatrix", "eigen_mps", "operator_matrix", "verify_eigen",
     "ClassicalSystem", "HahnVerdict", "Intermediates",

@@ -219,7 +219,7 @@ def _cmd_identities(cfg):
 def _cmd_hahn(cfg):
     J = _get_operator(cfg, required=False)
     rc = _get_recurrence(cfg, required=False)
-    depth = max(cfg["n_max"] + 1, 5)
+    depth = cfg["n_max"] + 1  # n_max >= 4: P_0..P_4 at least
     if J is not None:
         try:
             P, _ = eigen_mps(J, depth)

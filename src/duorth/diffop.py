@@ -140,18 +140,18 @@ class DiffOperator:
                 k = nu
                 break
         if k is None:
-            return LoweringClass(self, None, (), n_check, "zero operator")
+            return LoweringClass(None, (), n_check, "zero operator")
         for nu in range(k, len(self.a)):
             if self.a[nu].degree > nu - k:
                 return LoweringClass(
-                    self, None, (), n_check,
+                    None, (), n_check,
                     f"deg a_{nu} = {self.a[nu].degree} > {nu - k}")
         lambdas = tuple(self.lambda_seq(k, n_check))
         for n, lam in enumerate(lambdas):
             if lam == 0:
                 return LoweringClass(
-                    self, None, (), n_check, f"lambda_{n + k}^[{k}] = 0")
-        return LoweringClass(self, k, lambdas, n_check, "")
+                    None, (), n_check, f"lambda_{n + k}^[{k}] = 0")
+        return LoweringClass(k, lambdas, n_check, "")
 
     def jimage_mps(self, P: Sequence[Polynomial], k: int) -> list:
         """Normalized image sequence: (lambda_{n+k}^[k])^-1 J(P_{n+k}),
@@ -178,10 +178,9 @@ class LoweringClass:
     """Classification result: the order k and its lambda scalars, or a
     not-classifiable marker with the failing reason."""
 
-    __slots__ = ("op", "k", "lambdas", "horizon", "reason")
+    __slots__ = ("k", "lambdas", "horizon", "reason")
 
-    def __init__(self, op, k, lambdas, horizon, reason):
-        self.op = op
+    def __init__(self, k, lambdas, horizon, reason):
         self.k = k
         self.lambdas = lambdas
         self.horizon = horizon
@@ -190,14 +189,6 @@ class LoweringClass:
     @property
     def classified(self) -> bool:
         return self.k is not None
-
-    def lam(self, n: int) -> Rational:
-        """lambda_{n+k}^[k] for any n >= 0 (recomputed past the horizon)."""
-        if not self.classified:
-            raise ZeroLambda("operator is not classifiable")
-        if n <= self.horizon:
-            return self.lambdas[n]
-        return self.op.lambda_seq(self.k, n)[n]
 
     def __repr__(self):
         if not self.classified:

@@ -15,7 +15,7 @@ valid range explicitly (require_equal refuses to compare past it).
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .backend import Rat as Rational
 from .backend import mact, mderive, mleft, qcommon, qreduce
@@ -136,13 +136,13 @@ class MomentForm:
         return f"MomentForm([{shown}{tail}], order={self.order})"
 
 
-def combine(pairs: Sequence[tuple]) -> MomentForm:
-    """sum of f_i * u_i for (f_i, u_i) pairs, clamped to the common order."""
+def combine(pairs: Iterable[tuple]) -> MomentForm:
+    """sum of f_i * u_i for (f_i, u_i) pairs, clamped to the common order
+    (each sum clamps to the order of its shallower term)."""
     terms = [u.left_mul(f) for f, u in pairs]
-    n = min(t.order for t in terms)
-    acc = terms[0].truncate(n)
+    acc = terms[0]
     for t in terms[1:]:
-        acc = acc + t.truncate(n)
+        acc = acc + t
     return acc
 
 

@@ -3,12 +3,16 @@
 Given an isomorphism J = a_0 I + a_1 D + a_2/2 D^2 + a_3/6 D^3 whose monic
 eigenpolynomials are 2-orthogonal, the shifted transpose actions on the
 regular vector (u_0, u_1) expand as J^(1)(u_0) = p_0 u_0 + p_1 u_1 and so
-on; those coefficient polynomials feed three functional identities, the
-matrix system D(Phi U) + Psi U = 0 of both classicality theorems, and the
-derivative-sequence (Hahn) test itself.
+on; those coefficient polynomials are built from the dual pairs
+u_k = c0 u_0 + c1 u_1 (two_orth.dual_pairs) and feed three functional
+identities, the matrix system D(Phi U) + Psi U = 0 of both classicality
+theorems, and the derivative-sequence (Hahn) test itself. The source
+identities Eq-7.1..Eq-8.2 are J applied to the pairs of u_2..u_5 by the
+Leibniz rule.
 """
 from __future__ import annotations
 
+from math import factorial
 from typing import Sequence
 
 from .backend import Rat as Rational
@@ -18,7 +22,8 @@ from .errors import (ClosedFormMismatch, HypothesisViolated, NotTwoOrthogonal,
 from .forms import MomentForm, combine, require_equal
 from .poly import ONE, Polynomial, X, as_rational
 from .reporting import Report
-from .two_orth import EABF, MPSPrefix, RecurrenceCoeffs, fit_2orth_recurrence
+from .two_orth import (MPSPrefix, RecurrenceCoeffs, dual_pairs,
+                       fit_2orth_recurrence)
 
 __all__ = [
     "Intermediates", "intermediates", "ClassicalSystem",
@@ -44,11 +49,12 @@ class Intermediates:
     """The eight expansion polynomials over (u_0, u_1):
     J^(1)(u_0) = p0 u_0 + p1 u_1,     J^(1)(u_1) = f0 u_0 + f1 u_1,
     J^(2)(u_0) = pbar0 u_0 + pbar1 u_1, J^(2)(u_1) = fbar0 u_0 + fbar1 u_1,
-    together with lambda_0..lambda_5 and the E/A/B/F pieces they came from.
+    together with lambda_0..lambda_5 and the pairs u_k = c0 u_0 + c1 u_1
+    (k <= 5) they came from: pairs[2] = (E1, A0), .., pairs[5] = (B2, F2).
     """
 
     __slots__ = ("p0", "p1", "f0", "f1", "pbar0", "pbar1", "fbar0", "fbar1",
-                 "lambdas", "E1", "E2", "A0", "A1", "B1", "B2", "F1", "F2")
+                 "lambdas", "pairs")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -62,17 +68,14 @@ class Intermediates:
 
 
 def intermediates(J: DiffOperator, rc: RecurrenceCoeffs) -> Intermediates:
-    """Build p/f/pbar/fbar from the lambda scalars of J and the E/A/B/F
-    closed forms of rc (which must reach index 4)."""
+    """Build p/f/pbar/fbar from the lambda scalars of J and the dual pairs
+    of rc up to u_5 (rc must reach index 4)."""
     if J.shifted_form or J.order > 3:
         raise HypothesisViolated("third-order normal-form operator",
                                  witness=f"order {J.order}")
     lam = J.lambda_seq(0, 5)
-    eabf = EABF(rc)
-    E1, E2 = eabf.E(1), eabf.E(2)
-    A0, A1 = eabf.A(0), eabf.A(1)
-    B1, B2 = eabf.B(1), eabf.B(2)
-    F1, F2 = eabf.F(1), eabf.F(2)
+    pairs = dual_pairs(rc, 5)
+    (E1, A0), (B1, F1), (E2, A1), (B2, F2) = pairs[2:]
     g1, g2, g3, g4 = (rc.gamma(i) for i in (1, 2, 3, 4))
     al2 = rc.alpha(2)
 
@@ -93,7 +96,7 @@ def intermediates(J: DiffOperator, rc: RecurrenceCoeffs) -> Intermediates:
 
     return Intermediates(p0=p0, p1=p1, f0=f0, f1=f1, pbar0=pbar0, pbar1=pbar1,
                          fbar0=fbar0, fbar1=fbar1, lambdas=tuple(lam),
-                         E1=E1, E2=E2, A0=A0, A1=A1, B1=B1, B2=B2, F1=F1, F2=F2)
+                         pairs=pairs)
 
 
 def j_expansion_check(J: DiffOperator, rc: RecurrenceCoeffs,
@@ -117,58 +120,27 @@ def j_expansion_check(J: DiffOperator, rc: RecurrenceCoeffs,
                       f"Eq-J(u_n)(n={n})")
         report.add(f"Eq-J(u_n)(n={n})", horizon=M)
 
-    j1u0 = J.shifted(1).transpose_apply(u0)
-    j1u1 = J.shifted(1).transpose_apply(u1)
-    j2u0 = J.shifted(2).transpose_apply(u0)
-    j2u1 = J.shifted(2).transpose_apply(u1)
-
+    # jets[nu][j] = J^(j)(u_nu), with J^(0)(u_nu) = lambda_nu u_nu
+    jets = [[lam[nu] * u] + [J.shifted(j).transpose_apply(u) for j in (1, 2)]
+            for nu, u in enumerate((u0, u1))]
     expansions = (
-        ("Eq-9.1", j1u0, it.p0, it.p1),
-        ("Eq-9.2", j1u1, it.f0, it.f1),
-        ("Eq-9.3", j2u0, it.pbar0, it.pbar1),
-        ("Eq-9.4", j2u1, it.fbar0, it.fbar1),
+        ("Eq-9.1", jets[0][1], it.p0, it.p1),
+        ("Eq-9.2", jets[1][1], it.f0, it.f1),
+        ("Eq-9.3", jets[0][2], it.pbar0, it.pbar1),
+        ("Eq-9.4", jets[1][2], it.fbar0, it.fbar1),
     )
     for tag, lhs, c0, c1 in expansions:
         require_equal(lhs, combine([(c0, u0), (c1, u1)]), M, tag)
         report.add(tag, horizon=M)
 
-    # Eq-7.1:  lam2 u2 = lam0 E1 u0 - (1/gamma1) J^(1)(u0) + lam1 A0 u1
-    lhs = lam[2] * duals[2]
-    rhs = (lam[0] * u0.left_mul(it.E1)
-           - (1 / rc.gamma(1)) * j1u0
-           + lam[1] * u1.left_mul(it.A0))
-    require_equal(lhs, rhs, M, "Eq-7.1")
-    report.add("Eq-7.1", horizon=M)
-
-    # Eq-8.1:  lam3 u3 = lam0 B1 u0 - B1' J^(1)(u0) + lam1 F1 u1 - F1' J^(1)(u1)
-    lhs = lam[3] * duals[3]
-    rhs = (lam[0] * u0.left_mul(it.B1) - j1u0.left_mul(it.B1.derivative())
-           + lam[1] * u1.left_mul(it.F1) - j1u1.left_mul(it.F1.derivative()))
-    require_equal(lhs, rhs, M, "Eq-8.1")
-    report.add("Eq-8.1", horizon=M)
-
-    # Eq-7.2:  lam4 u4 = lam0 E2 u0 - E2' J^(1)(u0) + (1/2) E2'' J^(2)(u0)
-    #                    + lam1 A1 u1 - A1' J^(1)(u1)
-    lhs = lam[4] * duals[4]
-    rhs = (lam[0] * u0.left_mul(it.E2)
-           - j1u0.left_mul(it.E2.derivative())
-           + _HALF * j2u0.left_mul(it.E2.derivative(2))
-           + lam[1] * u1.left_mul(it.A1)
-           - j1u1.left_mul(it.A1.derivative()))
-    require_equal(lhs, rhs, M, "Eq-7.2")
-    report.add("Eq-7.2", horizon=M)
-
-    # Eq-8.2:  lam5 u5 = lam0 B2 u0 - B2' J^(1)(u0) + (1/2) B2'' J^(2)(u0)
-    #                    + lam1 F2 u1 - F2' J^(1)(u1) + (1/2) F2'' J^(2)(u1)
-    lhs = lam[5] * duals[5]
-    rhs = (lam[0] * u0.left_mul(it.B2)
-           - j1u0.left_mul(it.B2.derivative())
-           + _HALF * j2u0.left_mul(it.B2.derivative(2))
-           + lam[1] * u1.left_mul(it.F2)
-           - j1u1.left_mul(it.F2.derivative())
-           + _HALF * j2u1.left_mul(it.F2.derivative(2)))
-    require_equal(lhs, rhs, M, "Eq-8.2")
-    report.add("Eq-8.2", horizon=M)
+    # J applied to u_k = c0 u_0 + c1 u_1 by the Leibniz rule:
+    # lambda_k u_k = sum_nu sum_j (-1)^j / j! c_nu^(j) J^(j)(u_nu),
+    # over the j <= deg c_nu whose derivative does not vanish
+    for k, tag in enumerate(("Eq-7.1", "Eq-8.1", "Eq-7.2", "Eq-8.2"), start=2):
+        terms = [(Rational((-1) ** j, factorial(j)) * c.derivative(j), jets[nu][j])
+                 for nu, c in enumerate(it.pairs[k]) for j in range(len(c.nums))]
+        require_equal(lam[k] * duals[k], combine(terms), M, tag)
+        report.add(tag, horizon=M)
     return report
 
 
@@ -310,7 +282,7 @@ def phi_theorem4(J: DiffOperator, rc: RecurrenceCoeffs) -> ClassicalSystem:
         if built[entry] != closed[entry]:
             raise ClosedFormMismatch(entry, built[entry], closed[entry])
 
-    psi = ((Polynomial.zero(), ONE), (2 * it.E1, 2 * it.A0))
+    psi = ((Polynomial.zero(), ONE), tuple(2 * c for c in it.pairs[2]))
     return ClassicalSystem((
         (built["phi11"], built["phi12"]),
         (built["phi21"], built["phi22"]),
@@ -357,8 +329,9 @@ def varpi_theorem5(J: DiffOperator, rc: RecurrenceCoeffs, tau) -> ClassicalSyste
     scale = 1 / (3 * a11)
     varpi11 = scale * (1 / (2 * tau) * it.fbar0 + it.f0)
     varpi12 = scale * (2 * a1 + it.f1 - 1 / (2 * tau) * (a2 - it.fbar1))
-    varpi21 = it.pbar0 + Rational(2, 3) * it.A0 * varpi11
-    varpi22 = it.pbar1 + Rational(2, 3) * it.A0 * varpi12
+    A0 = it.pairs[2][1]
+    varpi21 = it.pbar0 + Rational(2, 3) * A0 * varpi11
+    varpi22 = it.pbar1 + Rational(2, 3) * A0 * varpi12
     for name, p in (("varpi11", varpi11), ("varpi12", varpi12)):
         if p.degree > 1:
             raise ClosedFormMismatch(name, p, "(degree <= 1 required)")
@@ -405,7 +378,7 @@ def varpi_theorem5(J: DiffOperator, rc: RecurrenceCoeffs, tau) -> ClassicalSyste
         if built[entry] != closed[entry]:
             raise ClosedFormMismatch(f"Table-1-{entry}", built[entry], closed[entry])
 
-    psi = ((Polynomial.zero(), ONE), (2 * it.E1, 2 * it.A0))
+    psi = ((Polynomial.zero(), ONE), tuple(2 * c for c in it.pairs[2]))
     return ClassicalSystem((
         (varpi11, varpi12),
         (varpi21, varpi22),
@@ -414,12 +387,8 @@ def varpi_theorem5(J: DiffOperator, rc: RecurrenceCoeffs, tau) -> ClassicalSyste
 
 def classical_system_check(sys, duals, M: int) -> Report:
     """Verify both rows of D(Phi U) + Psi U = 0 moment-wise to order M
-    (tags Eq-EqClassic-1/2); duals must carry order >= M + 3. Accepts a
-    ClassicalSystem or a raw (phi, psi) pair of 2x2 polynomial matrices."""
-    if isinstance(sys, ClassicalSystem):
-        phi, psi = sys.phi, sys.psi
-    else:
-        phi, psi = sys
+    (tags Eq-EqClassic-1/2); duals must carry order >= M + 3."""
+    phi, psi = sys.phi, sys.psi
     u0, u1 = duals[0], duals[1]
     for u in (u0, u1):
         if u.order < M + 3:

@@ -5,9 +5,10 @@ the expansions x P_k = sum_j chi_{k,j} P_j (four terms per row for a
 2-orthogonal P), computed once per sequence and read by both the
 four-term-recurrence fit and the dual-sequence moments, which run forward
 through the rows in O(N^2) and are certified by biorthogonality; the
-coupled E/A/B/F polynomial pairs expressing every dual element over
-(u_0, u_1), and the moment-level identity checks for the dual recurrence,
-the decompositions and the orthogonality conditions.
+dual recurrence run on polynomial pairs (dual_pairs: u_k = c0 u_0 + c1 u_1,
+the E/A/B/F pairs over the regular vector), and the moment-level identity
+checks for the dual recurrence, the decompositions and the orthogonality
+conditions.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .reporting import Report
 __all__ = [
     "RecurrenceCoeffs", "MPSPrefix", "generate", "expand_in_basis",
     "structure_rows", "fit_2orth_recurrence", "dual_sequence",
-    "check_biorthogonality", "EABF", "eabf_polys", "check_dual_identities",
+    "check_biorthogonality", "dual_pairs", "check_dual_identities",
     "orthogonality_check",
 ]
 
@@ -248,96 +249,26 @@ def dual_sequence(P, k_max: int, N: int) -> list:
     return duals
 
 
-class EABF:
-    """Lazy E/A/B/F polynomial pairs over the regular vector (u_0, u_1):
-    u_{2n} = E_n u_0 + A_{n-1} u_1 and u_{2n+1} = B_n u_0 + F_n u_1.
-
-    Half-stage schedule: (B_{j}, F_{j}) need rc through index 2j;
-    (E_{j+1}, A_j) need rc through index 2j+1. Coefficients are pulled
-    from rc only as far as actually demanded.
-    """
-
-    def __init__(self, rc: RecurrenceCoeffs):
-        self.rc = rc
-        g1 = rc.gamma(1)
-        self._E = [ONE, (X - Polynomial.constant(rc.beta(0))) / g1]
-        self._A = [Polynomial.constant(-rc.alpha(1) / g1)]  # A_0; A_{-1} = 0
-        self._B = [Polynomial.zero()]
-        self._F = [ONE]
-        self._stage = 0
-        self._first_pending = True
-
-    def _advance(self):
-        """Run the next half-stage. Stage n runs as two halves:
-        (B_{n+1}, F_{n+1}) then (E_{n+2}, A_{n+1})."""
-        rc = self.rc
-        n = self._stage
-        if self._first_pending:
-            xb = X - Polynomial.constant(rc.beta(2 * n + 1))
-            al, g = rc.alpha(2 * n + 2), rc.gamma(2 * n + 2)
-            self._B.append((xb * self._B[n] - al * self._E[n + 1] - self._E[n]) / g)
-            a_prev = self._A[n - 1] if n >= 1 else Polynomial.zero()
-            self._F.append((xb * self._F[n] - a_prev - al * self._A[n]) / g)
-            self._first_pending = False
-        else:
-            xb = X - Polynomial.constant(rc.beta(2 * n + 2))
-            al, g = rc.alpha(2 * n + 3), rc.gamma(2 * n + 3)
-            self._E.append((xb * self._E[n + 1] - self._B[n] - al * self._B[n + 1]) / g)
-            self._A.append((xb * self._A[n] - al * self._F[n + 1] - self._F[n]) / g)
-            self._first_pending = True
-            self._stage = n + 1
-
-    def E(self, n: int) -> Polynomial:
-        while len(self._E) <= n:
-            self._advance()
-        p = self._E[n]
-        if p.degree != n:
-            raise ArithmeticError(f"deg E_{n} != {n}")
-        return p
-
-    def A(self, n: int) -> Polynomial:
-        if n == -1:
-            return Polynomial.zero()
-        while len(self._A) <= n:
-            self._advance()
-        p = self._A[n]
-        if p.degree > n:
-            raise ArithmeticError(f"deg A_{n} > {n}")
-        return p
-
-    def B(self, n: int) -> Polynomial:
-        while len(self._B) <= n:
-            self._advance()
-        p = self._B[n]
-        if p.degree > n:
-            raise ArithmeticError(f"deg B_{n} > {n}")
-        return p
-
-    def F(self, n: int) -> Polynomial:
-        while len(self._F) <= n:
-            self._advance()
-        p = self._F[n]
-        if p.degree != n:
-            raise ArithmeticError(f"deg F_{n} != {n}")
-        return p
-
-    def even_pair(self, n: int):
-        """(E_n, A_{n-1}) with u_{2n} = E_n u_0 + A_{n-1} u_1."""
-        return self.E(n), self.A(n - 1)
-
-    def odd_pair(self, n: int):
-        """(B_n, F_n) with u_{2n+1} = B_n u_0 + F_n u_1."""
-        return self.B(n), self.F(n)
-
-
-def eabf_polys(rc: RecurrenceCoeffs, n_max: int):
-    """The four lists E_n, A_n, B_n, F_n for 0 <= n <= n_max."""
-    eabf = EABF(rc)
-    E = [eabf.E(n) for n in range(n_max + 1)]
-    B = [eabf.B(n) for n in range(n_max + 1)]
-    F = [eabf.F(n) for n in range(n_max + 1)]
-    A = [eabf.A(n) for n in range(n_max + 1)]
-    return E, A, B, F
+def dual_pairs(rc: RecurrenceCoeffs, k_max: int) -> list:
+    """[(c0, c1)] with u_k = c0 u_0 + c1 u_1 for k <= k_max: the pairs
+    (E_n, A_{n-1}) of u_{2n} and (B_n, F_n) of u_{2n+1} over the regular
+    vector (u_0, u_1). They run the dual recurrence
+    gamma_{m+1} u_{m+2} = (x - beta_m) u_m - u_{m-1} - alpha_{m+1} u_{m+1}
+    (u_{-1} = 0) on the pairs, so rc is read only through index k_max - 1.
+    Raises ArithmeticError unless deg E_n = n, deg A_{n-1} <= n - 1,
+    deg B_n <= n and deg F_n = n."""
+    zero = Polynomial.zero()
+    pairs = [(ONE, zero), (zero, ONE)][: k_max + 1]
+    for m in range(k_max - 1):
+        xb = X - Polynomial.constant(rc.beta(m))
+        al, g = rc.alpha(m + 1), rc.gamma(m + 1)
+        prev = pairs[m - 1] if m else (zero, zero)
+        pairs.append(tuple((xb * c - p - al * n) / g
+                           for c, p, n in zip(pairs[m], prev, pairs[m + 1])))
+    for k, pair in enumerate(pairs):
+        if pair[k % 2].degree != k // 2 or pair[1 - k % 2].degree > (k - 1) // 2:
+            raise ArithmeticError(f"degrees of the u_{k} pair off the E/A/B/F bounds")
+    return pairs
 
 
 def check_dual_identities(rc: RecurrenceCoeffs, duals: Sequence[MomentForm],
@@ -345,7 +276,8 @@ def check_dual_identities(rc: RecurrenceCoeffs, duals: Sequence[MomentForm],
     """Verify the dual four-term recurrence
     x u_n = u_{n-1} + beta_n u_n + alpha_{n+1} u_{n+1} + gamma_{n+1} u_{n+2}
     moment-wise to order M for every n with u_{n+2} available, and the
-    decompositions of u_2..u_5 over (u_0, u_1) via the E/A/B/F pairs.
+    decompositions of u_2..u_5 over (u_0, u_1) by their dual_pairs
+    (tags Eq-u2..Eq-u5).
     """
     if len(duals) < 3:
         raise ValueError("need at least u_0..u_2")
@@ -363,20 +295,12 @@ def check_dual_identities(rc: RecurrenceCoeffs, duals: Sequence[MomentForm],
             rhs = rhs + duals[n - 1]
         _require_equal(lhs, rhs, M, f"dual-recurrence(n={n})")
         report.add(f"dual-recurrence(n={n})", horizon=M)
-    eabf = EABF(rc)
-    pairs = {
-        "Eq-u2": (2, eabf.even_pair(1)),
-        "Eq-u3": (3, eabf.odd_pair(1)),
-        "Eq-u4": (4, eabf.even_pair(2)),
-        "Eq-u5": (5, eabf.odd_pair(2)),
-    }
-    for tag, (idx, (c0, c1)) in pairs.items():
-        if idx >= len(duals):
-            continue
-        rhs = combine([(c0, duals[0]), (c1, duals[1])])
-        upto = min(M, rhs.order, duals[idx].order)
-        _require_equal(duals[idx], rhs, upto, tag)
-        report.add(tag, horizon=upto)
+    pairs = dual_pairs(rc, min(5, len(duals) - 1))
+    for k in range(2, len(pairs)):
+        rhs = combine(zip(pairs[k], duals[:2]))
+        upto = min(M, rhs.order, duals[k].order)
+        _require_equal(duals[k], rhs, upto, f"Eq-u{k}")
+        report.add(f"Eq-u{k}", horizon=upto)
     return report
 
 

@@ -127,6 +127,18 @@ class TestIdentitiesAndHahn:
         out = str(tmp_path / "report.json")
         assert run_cli(["verify-identities", "--config", cfg, "--out", out]) == 0
 
+    def test_identities_rc_at_depth_8(self, tmp_path):
+        from duorth import ParamSampler
+        from duorth.serialize import rc_to_tree
+        cfg = write_config(tmp_path, "rc.json",
+                           {"recurrence": rc_to_tree(ParamSampler(1).recurrence(20))})
+        out = tmp_path / "report.json"
+        assert run_cli(["verify-identities", "--config", cfg, "--order", "8",
+                        "--check-order", "4", "--out", str(out)]) == 0
+        items = json.loads(out.read_text())["results"]["report"]["items"]
+        horizons = {item["tag"]: item.get("horizon") for item in items}
+        assert horizons["biorthogonality"] == "k<=5, m<=7"
+
     def test_hahn_positive(self, tmp_path, sampler):
         from duorth.serialize import rc_to_tree
         rc = sampler.recurrence(16)

@@ -239,13 +239,6 @@ class TestVarpiTheorem5:
 
 
 class TestClassicalSystemCheck:
-    def test_zero_matrices_vacuous(self, inst4):
-        _, _, _, _, duals = inst4
-        z = Polynomial.zero()
-        zero_matrix = ((z, z), (z, z))
-        report = classical_system_check((zero_matrix, zero_matrix), duals[:2], 10)
-        assert [item["horizon"] for item in report.items] == [10, 10]
-
     def test_family4_system_holds(self, inst4):
         J, P, lam, rc, duals = inst4
         system = phi_theorem4(J, rc)

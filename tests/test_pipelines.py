@@ -1,4 +1,5 @@
 """End-to-end pipeline statuses and sweep semantics."""
+import hashlib
 import json
 
 import pytest
@@ -7,7 +8,7 @@ import duorth.pipelines as pipelines
 from duorth import (DiffOperator, ParamSampler, Polynomial, Rational,
                     RecurrenceCoeffs, run_identities_rc,
                     run_identities_operator, run_sweep, run_theorem4,
-                    run_theorem5, two_orth)
+                    run_theorem5, hahn, two_orth)
 from duorth.cli import main
 from duorth.hahn import ClassicalSystem
 from duorth.pipelines import PASSED, UNMET, VIOLATED
@@ -229,6 +230,15 @@ class TestOrderValidation:
         horizons = {item["tag"]: item.get("horizon") for item in res.report.items}
         assert horizons["biorthogonality"] == horizon
 
+    def test_identities_rc_at_depth_8(self):
+        # the duals of a depth-8 recurrence carry order 7: biorthogonality
+        # is reported as far as dual_sequence certified it
+        res = run_identities_rc(ParamSampler(1).recurrence(20), moment_order=8,
+                                check_order=4)
+        assert res.status == PASSED
+        horizons = {item["tag"]: item.get("horizon") for item in res.report.items}
+        assert horizons["biorthogonality"] == "k<=5, m<=7"
+
 
 def _perturbed_lambda(monkeypatch):
     solve = pipelines.eigen_mps
@@ -331,6 +341,72 @@ class TestNegativeControls:
         for entry in violated:
             assert entry["detail"]["failure"]["tag"] == "dual-recurrence(n=2)"
             assert "operator" in entry
+
+
+def _bumped_pair(pairs, k):
+    """pairs with 1 added to c0 of u_k = c0 u_0 + c1 u_1."""
+    c0, c1 = pairs[k]
+    return pairs[:k] + [(c0 + ONE, c1)] + pairs[k + 1:]
+
+
+class TestDualPairControls:
+    """Each identity read off the pairs u_k = c0 u_0 + c1 u_1 names its own
+    corrupted pair."""
+
+    @pytest.mark.parametrize("k, tag", [
+        (2, "Eq-7.1"), (3, "Eq-8.1"), (4, "Eq-7.2"), (5, "Eq-8.2"),
+    ])
+    def test_source_identity(self, monkeypatch, k, tag):
+        build = hahn.intermediates
+
+        def corrupted(J, rc):
+            it = build(J, rc)
+            it.pairs = _bumped_pair(it.pairs, k)
+            return it
+        monkeypatch.setattr(hahn, "intermediates", corrupted)
+        res = run_identities_operator(README_J, moment_order=24, check_order=12)
+        assert res.status == VIOLATED
+        assert res.failure["tag"] == tag
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_decomposition(self, monkeypatch, k):
+        pairs_of = two_orth.dual_pairs
+        monkeypatch.setattr(two_orth, "dual_pairs",
+                            lambda rc, k_max: _bumped_pair(pairs_of(rc, k_max), k))
+        res = run_identities_rc(ParamSampler(20250808).recurrence(22),
+                                moment_order=20, check_order=8)
+        assert res.status == VIOLATED
+        assert res.failure["tag"] == f"Eq-u{k}"
+
+
+def _const_offscale_operator():
+    sampler = ParamSampler(20250808)
+    while True:
+        draw = sampler.sample_theorem4(40)
+        if draw["shape"] == "const-offscale":
+            return draw["J"]
+
+
+@pytest.mark.parametrize("run, status, digest", [
+    (lambda: run_theorem4(README_J), PASSED,
+     "cc87c8b17ae805ca75e5bb8a7d99821bacfed17a00e9a985193b48d9471ede6a"),
+    (lambda: run_theorem5(T5_J, T5_TAU), PASSED,
+     "f6544b37ccdc6accdfe675726ac9cb0634225c62254a4efb74d64d684771dcaf"),
+    (lambda: run_identities_operator(README_J), PASSED,
+     "40378f38050972125e85ee66b3e0f283ddaadc6bce6637114ddea979fa31997f"),
+    (lambda: run_identities_rc(ParamSampler(20250808).recurrence(42)), PASSED,
+     "0ee0f09edc143fcde0746e76ff82b98e1555bb9be4fd917f829f20f2b4b8b669"),
+    (lambda: run_theorem4(_const_offscale_operator()), UNMET,
+     "dbb500f73d4e4eb3461c42153f3493f34b478fb863592793e7cad1f8ee64729c"),
+], ids=["theorem4", "theorem5", "identities-operator", "identities-rc",
+        "const-offscale"])
+def test_report_bytes_pinned(run, status, digest):
+    """SHA-256 of the canonical report bytes (the CLI's JSON encoding of
+    the result) at the default orders 40/24: a refactor keeps every byte."""
+    res = run()
+    assert res.status == status
+    data = (json.dumps(res.to_tree(), indent=2, sort_keys=True) + "\n").encode()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestOneExpansionPerSequence:

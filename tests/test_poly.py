@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duorth import MINUS_INF, Polynomial, Rational
+from duorth import MINUS_INF, Polynomial, Rational, dual_pairs
 from duorth.poly import ONE, X
-from duorth.two_orth import EABF
 
 from conftest import polynomials, rationals
 
@@ -95,7 +94,7 @@ class TestPolynomial:
         # E_2 has degree 2 with leading coefficient 1/(gamma1 gamma3)
         for _ in range(3):
             rc = sampler.recurrence(6)
-            e2 = EABF(rc).E(2)
+            e2 = dual_pairs(rc, 4)[4][0]
             want = 2 / (rc.gamma(1) * rc.gamma(3))
             assert e2.derivative(2) == Polynomial.constant(want)
 

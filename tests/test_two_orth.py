@@ -3,13 +3,12 @@ moment-level identity suites."""
 import pytest
 
 from duorth import (MomentForm, MPSPrefix, Polynomial, Rational,
-                    RecurrenceCoeffs, check_dual_identities, dual_sequence,
-                    eabf_polys, expand_in_basis, fit_2orth_recurrence,
+                    RecurrenceCoeffs, check_dual_identities, dual_pairs,
+                    dual_sequence, expand_in_basis, fit_2orth_recurrence,
                     generate, orthogonality_check, structure_rows)
 from duorth.errors import (IdentityViolated, MissingCoefficient,
                            NotTwoOrthogonal, OrderExceeded, ZeroGamma)
 from duorth.poly import ONE, X
-from duorth.two_orth import EABF
 
 R = Rational
 
@@ -203,31 +202,35 @@ class TestEABF:
     def test_low_index_closed_forms(self, sampler):
         for _ in range(6):
             rc = sampler.recurrence(8)
-            eabf = EABF(rc)
             E1, A0, B1, F1, E2, A1, B2, F2 = self.explicit_low_index_forms(rc)
-            assert eabf.E(1) == E1 and eabf.A(0) == A0
-            assert eabf.B(1) == B1 and eabf.F(1) == F1
-            assert eabf.E(2) == E2 and eabf.A(1) == A1
-            assert eabf.B(2) == B2 and eabf.F(2) == F2
+            assert dual_pairs(rc, 5)[2:] == [(E1, A0), (B1, F1), (E2, A1), (B2, F2)]
 
     def test_f2_second_derivative(self, sampler):
         rc = sampler.recurrence(8)
-        f2 = EABF(rc).F(2)
+        f2 = dual_pairs(rc, 5)[5][1]
         assert f2.derivative(2) == Polynomial.constant(2 / (rc.gamma(2) * rc.gamma(4)))
 
     def test_degrees(self, sampler):
+        # u_{2n} = E_n u_0 + A_{n-1} u_1, u_{2n+1} = B_n u_0 + F_n u_1
         for _ in range(50):
             rc = sampler.recurrence(12)
-            E, A, B, F = eabf_polys(rc, 4)
+            pairs = dual_pairs(rc, 9)
             for n in range(5):
-                assert E[n].degree == n and F[n].degree == n
-                assert A[n].degree <= n and B[n].degree <= n
+                (E, A), (B, F) = pairs[2 * n], pairs[2 * n + 1]
+                assert E.degree == n and F.degree == n
+                assert A.degree <= n - 1 and B.degree <= n
 
     def test_seeds(self, sampler):
         rc = sampler.recurrence(6)
-        eabf = EABF(rc)
-        assert eabf.E(0) == ONE and eabf.B(0).is_zero()
-        assert eabf.F(0) == ONE and eabf.A(-1).is_zero()
+        assert dual_pairs(rc, 1) == [(ONE, Polynomial.zero()), (Polynomial.zero(), ONE)]
+
+    def test_reads_rc_through_index_k_max_minus_1(self, sampler):
+        # u_5 needs beta_3, alpha_4 and gamma_4 only
+        rc = sampler.recurrence(12)
+        short = RecurrenceCoeffs(rc.betas[:4], rc.alphas[:4], rc.gammas[:4])
+        assert dual_pairs(short, 5) == dual_pairs(rc, 5)
+        with pytest.raises(MissingCoefficient):
+            dual_pairs(short, 6)
 
 
 class TestDualIdentities:
