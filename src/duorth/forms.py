@@ -93,11 +93,6 @@ class MomentForm:
         """The form Du with (Du)_n = -n (u)_{n-1}; order is preserved."""
         return self.from_pair(mderive(self.nums), self.den)
 
-    def truncate(self, order: int) -> "MomentForm":
-        if order > self.order:
-            raise OrderExceeded(f"cannot extend order {self.order} to {order}")
-        return self.from_pair(self.nums[: order + 1], self.den)
-
     def _common(self, other: "MomentForm") -> tuple:
         """Both moment vectors clamped to the common order, over one denominator."""
         n = min(self.order, other.order) + 1

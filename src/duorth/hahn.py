@@ -3,12 +3,13 @@
 Given an isomorphism J = a_0 I + a_1 D + a_2/2 D^2 + a_3/6 D^3 whose monic
 eigenpolynomials are 2-orthogonal, the shifted transpose actions on the
 regular vector (u_0, u_1) expand as J^(1)(u_0) = p_0 u_0 + p_1 u_1 and so
-on; those coefficient polynomials are built from the dual pairs
-u_k = c0 u_0 + c1 u_1 (two_orth.dual_pairs) and feed three functional
-identities, the matrix system D(Phi U) + Psi U = 0 of both classicality
-theorems, and the derivative-sequence (Hahn) test itself. The source
-identities Eq-7.1..Eq-8.2 are J applied to the pairs of u_2..u_5 by the
-Leibniz rule.
+on; `intermediates` gates the normal form and builds those coefficient
+polynomials once per (J, rc) from the dual pairs u_k = c0 u_0 + c1 u_1
+(two_orth.dual_pairs). Its `Intermediates` feeds three functional
+identities and the matrix system D(Phi U) + Psi U = 0 of both classicality
+theorems, beside the derivative-sequence (Hahn) test. The source identities
+Eq-7.1..Eq-8.2 are J applied to the pairs of u_2..u_5 by the Leibniz rule.
+`check_scope` is the a_1 coupling both theorems share.
 """
 from __future__ import annotations
 
@@ -20,15 +21,16 @@ from .diffop import DiffOperator
 from .errors import (ClosedFormMismatch, HypothesisViolated, NotTwoOrthogonal,
                      OrderExceeded)
 from .forms import MomentForm, combine, require_equal
-from .poly import ONE, Polynomial, X, as_rational
+from .poly import ONE, Polynomial, as_rational
 from .reporting import Report
 from .two_orth import (MPSPrefix, RecurrenceCoeffs, dual_pairs,
                        fit_2orth_recurrence)
 
 __all__ = [
     "Intermediates", "intermediates", "ClassicalSystem",
-    "implied_first_coeffs", "j_expansion_check", "lemma_identities_check",
-    "phi_theorem4", "varpi_theorem5", "classical_system_check",
+    "implied_first_coeffs", "check_scope", "j_expansion_check",
+    "lemma_identities_check", "phi_theorem4", "varpi_theorem5",
+    "classical_system_check",
     "derivative_mps", "HahnVerdict", "hahn_check",
 ]
 
@@ -45,16 +47,28 @@ def implied_first_coeffs(J: DiffOperator):
     return -a1[0] / c1, Rational(-1, 3) / c1
 
 
+def check_scope(J: DiffOperator, rc: RecurrenceCoeffs):
+    """The a_1 coupling a_1 = -(1/(3 gamma_1))(x - beta_0) of both theorems:
+    rc's fitted (beta_0, gamma_1) must equal the pair a_1 implies."""
+    b0, g1 = implied_first_coeffs(J)
+    if rc.beta(0) != b0 or rc.gamma(1) != g1:
+        raise HypothesisViolated(
+            "instance outside theorem scope",
+            f"fitted (beta0, gamma1) = ({rc.beta(0)}, {rc.gamma(1)}), "
+            f"implied ({b0}, {g1})")
+
+
 class Intermediates:
     """The eight expansion polynomials over (u_0, u_1):
     J^(1)(u_0) = p0 u_0 + p1 u_1,     J^(1)(u_1) = f0 u_0 + f1 u_1,
     J^(2)(u_0) = pbar0 u_0 + pbar1 u_1, J^(2)(u_1) = fbar0 u_0 + fbar1 u_1,
-    together with lambda_0..lambda_5 and the pairs u_k = c0 u_0 + c1 u_1
-    (k <= 5) they came from: pairs[2] = (E1, A0), .., pairs[5] = (B2, F2).
+    together with lambda_0..lambda_5, the pairs u_k = c0 u_0 + c1 u_1
+    (k <= 5) they came from (pairs[2] = (E1, A0), .., pairs[5] = (B2, F2))
+    and the J and rc they were built from, so one object feeds each stage.
     """
 
-    __slots__ = ("p0", "p1", "f0", "f1", "pbar0", "pbar1", "fbar0", "fbar1",
-                 "lambdas", "pairs")
+    __slots__ = ("J", "rc", "p0", "p1", "f0", "f1", "pbar0", "pbar1",
+                 "fbar0", "fbar1", "lambdas", "pairs")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -94,13 +108,13 @@ def intermediates(J: DiffOperator, rc: RecurrenceCoeffs) -> Intermediates:
     fbar1 = (g2 * g4) * ((lam[5] - lam[1]) * F2 + B2p * p1 + F2p * f1
                          - _HALF * B2pp * pbar1)
 
-    return Intermediates(p0=p0, p1=p1, f0=f0, f1=f1, pbar0=pbar0, pbar1=pbar1,
-                         fbar0=fbar0, fbar1=fbar1, lambdas=tuple(lam),
-                         pairs=pairs)
+    return Intermediates(J=J, rc=rc, p0=p0, p1=p1, f0=f0, f1=f1, pbar0=pbar0,
+                         pbar1=pbar1, fbar0=fbar0, fbar1=fbar1,
+                         lambdas=tuple(lam), pairs=pairs)
 
 
-def j_expansion_check(J: DiffOperator, rc: RecurrenceCoeffs,
-                      duals: Sequence[MomentForm], M: int) -> Report:
+def j_expansion_check(it: Intermediates, duals: Sequence[MomentForm],
+                      M: int) -> Report:
     """Verify the four shifted-transpose expansions (tags Eq-9.1..Eq-9.4),
     the eigen transport J(u_n) = lambda_n u_n on the available duals, and
     the source identities Eq-7.1, Eq-7.2, Eq-8.1, Eq-8.2, all moment-wise
@@ -110,8 +124,7 @@ def j_expansion_check(J: DiffOperator, rc: RecurrenceCoeffs,
     for u in duals[:6]:
         if u.order < M + 4:
             raise OrderExceeded(f"duals must carry order >= {M + 4}")
-    it = intermediates(J, rc)
-    lam = it.lambdas
+    J, lam = it.J, it.lambdas
     u0, u1 = duals[0], duals[1]
     report = Report("j-expansions")
 
@@ -144,16 +157,14 @@ def j_expansion_check(J: DiffOperator, rc: RecurrenceCoeffs,
     return report
 
 
-def lemma_identities_check(J: DiffOperator, rc: RecurrenceCoeffs, duals,
-                           M: int) -> Report:
+def lemma_identities_check(it: Intermediates, duals, M: int) -> Report:
     """Verify the three fundamental-pair identities to order M
     (tags Eq-Da2u0, Eq-Da2u1, Eq-Dcomplete); duals must carry M + 4."""
     u0, u1 = duals[0], duals[1]
     for u in (u0, u1):
         if u.order < M + 4:
             raise OrderExceeded(f"duals must carry order >= {M + 4}")
-    it = intermediates(J, rc)
-    a1, a2 = J.coeff(1), J.coeff(2)
+    a1, a2 = it.J.coeff(1), it.J.coeff(2)
     a11 = a1[1]
     report = Report("fundamental-pair-identities")
 
@@ -201,16 +212,6 @@ class ClassicalSystem:
         object.__setattr__(self, "psi", psi)
 
 
-def _check_a1_coupling(J: DiffOperator, rc: RecurrenceCoeffs):
-    """a_1 = -(1/(3 gamma_1))(x - beta_0) with rc's own beta_0, gamma_1."""
-    b0, g1 = rc.beta(0), rc.gamma(1)
-    expected = Rational(-1, 3) / g1 * (X - Polynomial.constant(b0))
-    if J.coeff(1) != expected:
-        raise HypothesisViolated(
-            "a1 = -(1/(3 gamma1))(x - beta0)",
-            witness=f"a1 = {J.coeff(1)}, expected {expected}")
-
-
 def _integer_reciprocal_m(value: Rational):
     """The m >= 0 with value = 1/(m+1), or None if there is none; a rational
     equals 1/(m+1) for at most one m, so this decides every m at once."""
@@ -222,20 +223,18 @@ def _integer_reciprocal_m(value: Rational):
     return None
 
 
-def phi_theorem4(J: DiffOperator, rc: RecurrenceCoeffs) -> ClassicalSystem:
-    """The classical system of the a_2 = 0 family.
+def phi_theorem4(it: Intermediates) -> ClassicalSystem:
+    """The classical system of the a_2 = 0 family, read off `it`.
 
     Hypothesis gates: a_2 = 0; a_1 tied to (beta_0, gamma_1); alpha_1 = 0
     (forced, tag Eq-p1=0); admissibility a_3^[3] != 1/(gamma_1 (m+1)).
     Each Phi entry is built from its defining form and from its printed
     closed form; any disagreement raises ClosedFormMismatch.
     """
-    if J.shifted_form or J.order > 3:
-        raise HypothesisViolated("third-order normal-form operator",
-                                 witness=f"order {J.order}")
+    J, rc = it.J, it.rc
     if not J.coeff(2).is_zero():
         raise HypothesisViolated("a2 = 0", witness=str(J.coeff(2)))
-    _check_a1_coupling(J, rc)
+    check_scope(J, rc)
     if rc.alpha(1) != 0:
         raise HypothesisViolated("alpha1 = 0 (forced by the a2 = 0 family)",
                                  witness=str(rc.alpha(1)))
@@ -245,7 +244,6 @@ def phi_theorem4(J: DiffOperator, rc: RecurrenceCoeffs) -> ClassicalSystem:
     if m is not None:
         raise HypothesisViolated("a3^[3] != 1/(gamma1 (m+1))", witness=f"m = {m}")
 
-    it = intermediates(J, rc)
     a1 = J.coeff(1)
     b0, b1, b2 = rc.beta(0), rc.beta(1), rc.beta(2)
     al2, al3 = rc.alpha(2), rc.alpha(3)
@@ -289,27 +287,25 @@ def phi_theorem4(J: DiffOperator, rc: RecurrenceCoeffs) -> ClassicalSystem:
     ), psi)
 
 
-def varpi_theorem5(J: DiffOperator, rc: RecurrenceCoeffs, tau) -> ClassicalSystem:
-    """The classical system of the a_3 = tau a_2 family.
+def varpi_theorem5(it: Intermediates, tau) -> ClassicalSystem:
+    """The classical system of the a_3 = tau a_2 family, read off `it`.
 
     Hypothesis gates: tau != 0; a_3 = tau a_2 exactly; deg a_2 <= 1
     (a_2^[2] = 0); a_1 tied to (beta_0, gamma_1); alpha_4 = alpha_2
     gamma_3 / gamma_2; the x-coefficient of varpi12 differs from every
     1/(m+1). Entries are cross-checked against the tabulated closed forms.
     """
+    J, rc = it.J, it.rc
     tau = as_rational(tau)
     if tau == 0:
         raise HypothesisViolated("tau != 0")
-    if J.shifted_form or J.order > 3:
-        raise HypothesisViolated("third-order normal-form operator",
-                                 witness=f"order {J.order}")
     a1, a2, a3 = J.coeff(1), J.coeff(2), J.coeff(3)
     if a3 != tau * a2:
         raise HypothesisViolated("a3 = tau a2",
                                  witness=f"a3 = {a3}, tau a2 = {tau * a2}")
     if a2.degree > 1:
         raise HypothesisViolated("a2^[2] = 0", witness=str(a2))
-    _check_a1_coupling(J, rc)
+    check_scope(J, rc)
     if rc.alpha(4) != rc.alpha(2) * rc.gamma(3) / rc.gamma(2):
         raise HypothesisViolated(
             "alpha4 = alpha2 gamma3 / gamma2",
@@ -324,7 +320,6 @@ def varpi_theorem5(J: DiffOperator, rc: RecurrenceCoeffs, tau) -> ClassicalSyste
             "a1^[2] != 2 tau/(gamma1 (m+1)) - (2/(3 gamma1))(beta1 - beta3)",
             witness=f"m = {m}")
 
-    it = intermediates(J, rc)
     a11 = a1[1]
     scale = 1 / (3 * a11)
     varpi11 = scale * (1 / (2 * tau) * it.fbar0 + it.f0)

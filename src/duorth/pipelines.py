@@ -2,8 +2,10 @@
 
 Every operator run goes through one pipeline, `_drive`: it eigensolves
 the operator, fits the four-term recurrence and, for a theorem run, checks
-the scope coupling (fitted beta_0, gamma_1 against the values the
-operator's a_1 implies) and the theorem hypotheses. It then verifies every functional
+the scope coupling (hahn.check_scope: fitted beta_0, gamma_1 against the
+values the operator's a_1 implies). It then builds the expansion
+intermediates of (J, rc) once, passes them to the theorem hypotheses and
+to every identity stage that reads them, and verifies every functional
 identity exactly at the requested moment order and, for a theorem run,
 Hahn's property and the classical system. Outcomes are three-valued:
 "passed", "hypotheses-unmet" (instance outside theorem scope), or
@@ -17,7 +19,7 @@ from .diffop import DiffOperator
 from .errors import (ClosedFormMismatch, HypothesisViolated, IdentityViolated,
                      NonInvertible, NotTwoOrthogonal, RepeatedEigenvalue)
 from .eigensolver import eigen_mps, verify_eigen
-from .hahn import (classical_system_check, hahn_check, implied_first_coeffs,
+from .hahn import (check_scope, classical_system_check, hahn_check,
                    intermediates, j_expansion_check, lemma_identities_check,
                    phi_theorem4, varpi_theorem5)
 from .reporting import Report
@@ -79,16 +81,6 @@ def _check_orders(moment_order, check_order, hahn_n):
         raise ValueError("hahn_n must lie in 3..moment_order - 1")
 
 
-def _scope_match(J, rc, report):
-    b0, g1 = implied_first_coeffs(J)
-    if rc.beta(0) != b0 or rc.gamma(1) != g1:
-        raise HypothesisViolated(
-            "instance outside theorem scope",
-            f"fitted (beta0, gamma1) = ({rc.beta(0)}, {rc.gamma(1)}), "
-            f"implied ({b0}, {g1})")
-    report.add("scope(beta0,gamma1)", detail="fitted values match implied")
-
-
 def _closed_forms(report, tag, kind):
     for entry in ("11", "12", "21", "22"):
         report.add(tag.format(*entry),
@@ -105,9 +97,11 @@ def _recurrence_checks(rc, P, duals, M, report):
 
 
 def _drive(name, J, moment_order, check_order, hahn_n=None, hypotheses=None):
-    """The one operator pipeline. `hypotheses(J, rc, report)` is a theorem's
-    stage: it returns the classical system or raises HypothesisViolated /
-    IdentityViolated. Without it the run is the identity suite alone."""
+    """The one operator pipeline. `hypotheses(it, report)` is a theorem's
+    stage: given the intermediates `it` of (J, rc), it returns the classical
+    system or raises HypothesisViolated / IdentityViolated. Without it the
+    run is the identity suite alone. `it` is built once, after the scope
+    match, so an instance outside scope never pays for it."""
     if hypotheses and hahn_n is None:
         hahn_n = min(10, moment_order - 1)
     _check_orders(moment_order, check_order, hahn_n)
@@ -127,16 +121,18 @@ def _drive(name, J, moment_order, check_order, hahn_n=None, hypotheses=None):
                                      f"index {exc.index}: {exc.reason}")
         report.add("Eq-rr-2orto-fit", horizon=moment_order)
         if hypotheses:
-            _scope_match(J, rc, report)
-            system = hypotheses(J, rc, report)
+            check_scope(J, rc)
+            report.add("scope(beta0,gamma1)", detail="fitted values match implied")
+        it = intermediates(J, rc)
+        system = hypotheses(it, report) if hypotheses else None
         duals = dual_sequence(P, 5, moment_order)
         if not verify_eigen(J, P[: check_order + 1], lam):
             raise IdentityViolated("eigen-relation", "polynomial", "J(P_n)",
                                    "lambda_n P_n")
         report.add("eigen-relation", horizon=check_order)
         _recurrence_checks(rc, P, duals, check_order, report)
-        report.merge(j_expansion_check(J, rc, duals, check_order))
-        report.merge(lemma_identities_check(J, rc, duals[:2], check_order))
+        report.merge(j_expansion_check(it, duals, check_order))
+        report.merge(lemma_identities_check(it, duals[:2], check_order))
         if not hypotheses:
             return InstanceResult(PASSED, report)
         verdict = hahn_check(P.polys[: hahn_n + 2])
@@ -154,17 +150,17 @@ def _drive(name, J, moment_order, check_order, hahn_n=None, hypotheses=None):
                           extras=_extras(J, rc, lam, system, verdict, hahn_n))
 
 
-def _theorem4_hypotheses(J, rc, report):
+def _theorem4_hypotheses(it, report):
+    J, rc = it.J, it.rc
     if not J.coeff(2).is_zero():
         raise HypothesisViolated("a2 = 0", J.coeff(2))
     if rc.alpha(1) != 0:
         raise IdentityViolated("Eq-p1=0", "alpha_1", rc.alpha(1), 0)
     report.add("Eq-p1=0", detail="alpha1 = 0")
-    it = intermediates(J, rc)
     if it.p0 != -2 * J.coeff(1):
         raise IdentityViolated("Eq-p0", "polynomial", it.p0, -2 * J.coeff(1))
     report.add("Eq-p0", detail="p0 = -2 a1")
-    system = phi_theorem4(J, rc)
+    system = phi_theorem4(it)
     _closed_forms(report, "Eq-phi-{},{}", "printed")
     return system
 
@@ -179,8 +175,8 @@ def run_theorem4(J: DiffOperator, *, moment_order: int = 40,
 def run_theorem5(J: DiffOperator, tau, *, moment_order: int = 40,
                  check_order: int = 24, hahn_n: int | None = None) -> InstanceResult:
     """Full verification of the a_3 = tau a_2 classicality theorem."""
-    def hypotheses(J, rc, report):
-        system = varpi_theorem5(J, rc, tau)
+    def hypotheses(it, report):
+        system = varpi_theorem5(it, tau)
         _closed_forms(report, "Table-1-varpi{}{}", "tabulated")
         return system
 

@@ -11,8 +11,8 @@ import pytest
 
 from duorth import (DiffOperator, MomentForm, ParamSampler, Polynomial,
                     Rational, check_dual_identities, dual_sequence,
-                    fit_2orth_recurrence, generate, phi_theorem4, run_sweep,
-                    varpi_theorem5)
+                    fit_2orth_recurrence, generate, intermediates,
+                    phi_theorem4, run_sweep, varpi_theorem5)
 from duorth.cli import main as cli_main
 from duorth.errors import HypothesisViolated
 from duorth.forms import require_equal
@@ -165,7 +165,8 @@ def test_criterion_4_closed_form_identities():
             continue
         J = DiffOperator([Polynomial([s.rat(True)]), a1, Polynomial.zero(), a3])
         try:
-            phi_theorem4(J, rc)  # ClosedFormMismatch would fail the build
+            # ClosedFormMismatch would fail the build
+            phi_theorem4(intermediates(J, rc))
         except HypothesisViolated:
             continue
         done += 1
@@ -178,7 +179,7 @@ def test_criterion_4_closed_form_identities():
         tau = s.rat(True)
         J = DiffOperator([Polynomial([s.rat(True)]), a1, a2, tau * a2])
         try:
-            varpi_theorem5(J, rc, tau)
+            varpi_theorem5(intermediates(J, rc), tau)
         except HypothesisViolated:
             continue
         done += 1

@@ -73,24 +73,25 @@ class TestIntermediates:
 class TestExpansionChecks:
     def test_family4(self, inst4):
         J, P, lam, rc, duals = inst4
-        report = j_expansion_check(J, rc, duals, 16)
+        report = j_expansion_check(intermediates(J, rc), duals, 16)
         tags = {item["tag"] for item in report.items}
         assert {"Eq-9.1", "Eq-9.2", "Eq-9.3", "Eq-9.4",
                 "Eq-7.1", "Eq-7.2", "Eq-8.1", "Eq-8.2"} <= tags
 
     def test_family5(self, inst5):
         J, P, lam, rc, duals = inst5
-        tags = {item["tag"] for item in j_expansion_check(J, rc, duals, 16).items}
+        report = j_expansion_check(intermediates(J, rc), duals, 16)
+        tags = {item["tag"] for item in report.items}
         assert {"Eq-9.1", "Eq-9.4", "Eq-7.1", "Eq-8.2"} <= tags
 
     def test_eigen_transport_included(self, inst4):
         J, P, lam, rc, duals = inst4
-        report = j_expansion_check(J, rc, duals, 12)
+        report = j_expansion_check(intermediates(J, rc), duals, 12)
         assert any(item["tag"].startswith("Eq-J(u_n)") for item in report.items)
 
     def test_lemma_identities(self, inst4, inst5):
         for J, P, lam, rc, duals in (inst4, inst5):
-            report = lemma_identities_check(J, rc, duals[:2], 16)
+            report = lemma_identities_check(intermediates(J, rc), duals[:2], 16)
             tags = [item["tag"] for item in report.items]
             assert tags == ["Eq-Da2u0", "Eq-Da2u1", "Eq-Dcomplete"]
 
@@ -117,13 +118,14 @@ class TestPhiTheorem4:
     def test_closed_forms_generic(self, sampler):
         for _ in range(3):
             J, rc = theorem4_generic_inputs(sampler)
-            system = phi_theorem4(J, rc)  # raises ClosedFormMismatch on any gap
+            # raises ClosedFormMismatch on any gap
+            system = phi_theorem4(intermediates(J, rc))
             assert system.phi[0][1][1] == J.coef(3, 3) * rc.gamma(1)
             assert system.phi[1][0][2] == 4 * J.coef(3, 3)
 
     def test_psi_shape(self, sampler):
         J, rc = theorem4_generic_inputs(sampler)
-        system = phi_theorem4(J, rc)
+        system = phi_theorem4(intermediates(J, rc))
         assert system.psi[0][0].is_zero() and system.psi[0][1] == ONE
         e1 = (X - Polynomial.constant(rc.beta(0))) / rc.gamma(1)
         assert system.psi[1][0] == 2 * e1
@@ -133,21 +135,21 @@ class TestPhiTheorem4:
         J, rc = theorem4_generic_inputs(sampler)
         bad = DiffOperator([J.coeff(0), J.coeff(1), ONE, J.coeff(3)])
         with pytest.raises(HypothesisViolated):
-            phi_theorem4(bad, rc)
+            phi_theorem4(intermediates(bad, rc))
 
     def test_rejects_uncoupled_a1(self, sampler):
         J, rc = theorem4_generic_inputs(sampler)
         bad = DiffOperator([J.coeff(0), 2 * J.coeff(1), Polynomial.zero(),
                             J.coeff(3)])
         with pytest.raises(HypothesisViolated):
-            phi_theorem4(bad, rc)
+            phi_theorem4(intermediates(bad, rc))
 
     def test_rejects_nonzero_alpha1(self, sampler):
         J, rc = theorem4_generic_inputs(sampler)
         from duorth import RecurrenceCoeffs
         bad_rc = RecurrenceCoeffs(rc.betas, (R(1),) + rc.alphas[1:], rc.gammas)
         with pytest.raises(HypothesisViolated):
-            phi_theorem4(J, bad_rc)
+            phi_theorem4(intermediates(J, bad_rc))
 
     def test_rejects_inadmissible_leading(self, sampler):
         # a3^[3] = 1/(gamma1 (m+1)) with m = 3
@@ -155,7 +157,7 @@ class TestPhiTheorem4:
         a3 = Polynomial([0, 0, 0, 1 / (4 * rc.gamma(1))])
         bad = DiffOperator([J.coeff(0), J.coeff(1), Polynomial.zero(), a3])
         with pytest.raises(HypothesisViolated) as err:
-            phi_theorem4(bad, rc)
+            phi_theorem4(intermediates(bad, rc))
         assert "m = 3" in err.value.witness
 
 
@@ -175,7 +177,7 @@ class TestVarpiTheorem5:
         for _ in range(3):
             J, rc, tau = theorem5_generic_inputs(sampler)
             try:
-                system = varpi_theorem5(J, rc, tau)
+                system = varpi_theorem5(intermediates(J, rc), tau)
             except HypothesisViolated:
                 continue  # admissibility rejection; resampled next loop
             a12 = J.coeff(2)[1]
@@ -202,7 +204,7 @@ class TestVarpiTheorem5:
             tau = sampler.rat(True)
             J = DiffOperator([Polynomial([sampler.rat(True)]), a1, a2, tau * a2])
             try:
-                system = varpi_theorem5(J, rc, tau)
+                system = varpi_theorem5(intermediates(J, rc), tau)
                 break
             except HypothesisViolated:
                 continue
@@ -211,7 +213,7 @@ class TestVarpiTheorem5:
     def test_tau_zero_rejected(self, inst5):
         J, P, lam, rc, duals = inst5
         with pytest.raises(HypothesisViolated) as err:
-            varpi_theorem5(J, rc, R(0))
+            varpi_theorem5(intermediates(J, rc), R(0))
         assert "tau" in err.value.hypothesis
 
     def test_untied_alpha4_rejected(self, sampler):
@@ -220,7 +222,7 @@ class TestVarpiTheorem5:
         alphas = rc.alphas[:3] + (rc.alphas[3] + 1,) + rc.alphas[4:]
         bad_rc = RecurrenceCoeffs(rc.betas, alphas, rc.gammas)
         with pytest.raises(HypothesisViolated) as err:
-            varpi_theorem5(J, bad_rc, tau)
+            varpi_theorem5(intermediates(J, bad_rc), tau)
         assert "alpha4" in err.value.hypothesis
 
     def test_quadratic_a2_rejected(self, sampler):
@@ -228,20 +230,20 @@ class TestVarpiTheorem5:
         a2 = Polynomial([0, 0, 1])
         bad = DiffOperator([J.coeff(0), J.coeff(1), a2, tau * a2])
         with pytest.raises(HypothesisViolated):
-            varpi_theorem5(bad, rc, tau)
+            varpi_theorem5(intermediates(bad, rc), tau)
 
     def test_wrong_proportionality_rejected(self, sampler):
         J, rc, tau = theorem5_generic_inputs(sampler)
         bad = DiffOperator([J.coeff(0), J.coeff(1), J.coeff(2),
                             J.coeff(3) + ONE])
         with pytest.raises(HypothesisViolated):
-            varpi_theorem5(bad, rc, tau)
+            varpi_theorem5(intermediates(bad, rc), tau)
 
 
 class TestClassicalSystemCheck:
     def test_family4_system_holds(self, inst4):
         J, P, lam, rc, duals = inst4
-        system = phi_theorem4(J, rc)
+        system = phi_theorem4(intermediates(J, rc))
         report = classical_system_check(system, duals[:2], 16)
         assert [item["tag"] for item in report.items] == ["Eq-EqClassic-1",
                                                           "Eq-EqClassic-2"]
@@ -249,7 +251,7 @@ class TestClassicalSystemCheck:
     def test_family5_system_holds(self, inst5):
         J, P, lam, rc, duals = inst5
         tau = 1 / J.coeff(2)[0]
-        system = varpi_theorem5(J, rc, tau)
+        system = varpi_theorem5(intermediates(J, rc), tau)
         report = classical_system_check(system, duals[:2], 16)
         assert [item["horizon"] for item in report.items] == [16, 16]
 

@@ -350,20 +350,31 @@ def _bumped_pair(pairs, k):
 
 
 class TestDualPairControls:
-    """Each identity read off the pairs u_k = c0 u_0 + c1 u_1 names its own
-    corrupted pair."""
+    """Each identity read off the intermediates (the pairs u_k = c0 u_0 +
+    c1 u_1, the expansion polynomials, the lambdas) names its own corrupted
+    field."""
 
-    @pytest.mark.parametrize("k, tag", [
+    @pytest.mark.parametrize("field, tag", [
         (2, "Eq-7.1"), (3, "Eq-8.1"), (4, "Eq-7.2"), (5, "Eq-8.2"),
+        ("p0", "Eq-9.1"), ("f0", "Eq-9.2"), ("pbar0", "Eq-9.3"),
+        ("fbar0", "Eq-9.4"), ("lambdas", "Eq-J(u_n)(n=3)"),
     ])
-    def test_source_identity(self, monkeypatch, k, tag):
-        build = hahn.intermediates
+    def test_source_identity(self, monkeypatch, field, tag):
+        # an int field k adds ONE to c0 of pair k; "lambdas" adds 1 to
+        # lambda_3; a name adds ONE to that polynomial
+        build = pipelines.intermediates
 
         def corrupted(J, rc):
             it = build(J, rc)
-            it.pairs = _bumped_pair(it.pairs, k)
+            if isinstance(field, int):
+                it.pairs = _bumped_pair(it.pairs, field)
+            elif field == "lambdas":
+                lam = it.lambdas
+                it.lambdas = lam[:3] + (lam[3] + 1,) + lam[4:]
+            else:
+                setattr(it, field, getattr(it, field) + ONE)
             return it
-        monkeypatch.setattr(hahn, "intermediates", corrupted)
+        monkeypatch.setattr(pipelines, "intermediates", corrupted)
         res = run_identities_operator(README_J, moment_order=24, check_order=12)
         assert res.status == VIOLATED
         assert res.failure["tag"] == tag
@@ -437,3 +448,37 @@ class TestOneExpansionPerSequence:
         res = run_theorem4(README_J, moment_order=28, check_order=14, hahn_n=8)
         assert res.status == PASSED
         assert expansions == [29] * 28 + [9] * 8
+
+
+class TestOneIntermediatesPerVerdict:
+    """The expansion intermediates of (J, rc) are built once per verdict and
+    passed to every stage that reads them; a draw outside scope or not
+    2-orthogonal never builds them."""
+
+    @pytest.mark.parametrize("run, status, builds", [
+        (lambda: run_theorem4(README_J, moment_order=28, check_order=14,
+                              hahn_n=8), PASSED, 1),
+        (lambda: run_theorem5(T5_J, T5_TAU, moment_order=28, check_order=14,
+                              hahn_n=8), PASSED, 1),
+        (lambda: run_identities_operator(README_J, moment_order=24,
+                                         check_order=12), PASSED, 1),
+        (lambda: run_theorem4(family4(R(2), R(-1), R(3), a3_const=2),
+                              moment_order=20, check_order=8, hahn_n=6),
+         UNMET, 0),
+        (lambda: run_theorem4(DiffOperator([Polynomial([2]), Polynomial([-1, 3]),
+                                            Polynomial.zero(),
+                                            Polynomial([1, 1, 0, 1])]),
+                              moment_order=20, check_order=8, hahn_n=6),
+         UNMET, 0),
+    ], ids=["theorem4", "theorem5", "identities-operator", "outside-scope",
+            "not-2-orthogonal"])
+    def test_builds_per_verdict(self, monkeypatch, run, status, builds):
+        calls = []
+        init = hahn.Intermediates.__init__
+
+        def counted(self, **kw):
+            calls.append(1)
+            init(self, **kw)
+        monkeypatch.setattr(hahn.Intermediates, "__init__", counted)
+        assert run().status == status
+        assert len(calls) == builds

@@ -109,7 +109,6 @@ class TestMomentFormOps:
         check(u * s, [a * s for a in u.moments])
         check(s * u, [a * s for a in u.moments])
         check(u.derivative(), kernel.mderive(u.moments))
-        check(u.truncate(n - 1), u.moments[:n])
 
     @given(forms(6), forms(6), polynomials(2), polynomials(2))
     @settings(max_examples=60, deadline=None)
