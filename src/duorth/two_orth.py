@@ -1,10 +1,11 @@
 """2-orthogonal monic polynomial sequences.
 
 Generation from recurrence coefficients; the structure rows of an MPS,
-the expansions x P_k = sum_j chi_{k,j} P_j (four terms per row for a
-2-orthogonal P), computed once per sequence and read by both the
-four-term-recurrence fit and the dual-sequence moments, which run forward
-through the rows in O(N^2) and are certified by biorthogonality; the
+the expansions x P_k = sum_j chi_{k,j} P_j, each computed once per
+sequence when first read: an O(k) four-term check, and a full expansion
+only of a row that fails it. The four-term-recurrence fit reads them up
+to the first row that fails, the dual-sequence moments run forward
+through them in O(N^2) and are certified by biorthogonality; the
 dual recurrence run on polynomial pairs (dual_pairs: u_k = c0 u_0 + c1 u_1,
 the E/A/B/F pairs over the regular vector), and the moment-level identity
 checks for the dual recurrence, the decompositions and the orthogonality
@@ -13,6 +14,7 @@ conditions.
 from __future__ import annotations
 
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .backend import Rat as Rational
@@ -25,7 +27,7 @@ from .reporting import Report
 
 __all__ = [
     "RecurrenceCoeffs", "MPSPrefix", "generate", "expand_in_basis",
-    "structure_rows", "fit_2orth_recurrence", "dual_sequence",
+    "structure_row", "structure_rows", "fit_2orth_recurrence", "dual_sequence",
     "check_biorthogonality", "dual_pairs", "check_dual_identities",
     "orthogonality_check",
 ]
@@ -98,7 +100,7 @@ class MPSPrefix:
             if p.degree != n or not p.is_monic():
                 raise ValueError(f"entry {n} is not monic of degree {n}")
         object.__setattr__(self, "polys", ps)
-        object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_rows", ())
 
     def __len__(self):
         return len(self.polys)
@@ -155,21 +157,57 @@ def expand_in_basis(q: Polynomial, P: Sequence[Polynomial]) -> list:
     return coefs
 
 
+def _as_prefix(P) -> MPSPrefix:
+    return P if isinstance(P, MPSPrefix) else MPSPrefix(P)
+
+
+def _row(P: MPSPrefix, k: int) -> tuple:
+    """Row k of structure_rows(P). Fraction-free elimination of the top
+    three coefficients of x P_k - P_{k+1} = w / e by the monic P_k, P_{k-1},
+    P_{k-2} gives chi_{k,k}, chi_{k,k-1}, chi_{k,k-2}; one integer combination
+    checks that the rest vanishes. A row that is not four-term is expanded
+    in full."""
+    ps = P.polys
+    xp, nk1 = (0,) + ps[k].nums, ps[k + 1].nums
+    dk, dk1 = ps[k].den, ps[k + 1].den
+    top = range(k, max(k - 3, -1), -1)
+    w, e = {j: xp[j] * dk1 - nk1[j] * dk for j in top}, dk * dk1
+    coefs = []
+    for m in top:
+        c, dm, nm = w[m], ps[m].den, ps[m].nums
+        coefs.append((m, Rational(c, e)))
+        w, e = {j: w[j] * dm - c * nm[j] for j in top if j < m}, e * dm
+    terms = [(xp, 1, dk), (nk1, -1, dk1)]
+    terms += [(ps[m].nums, -c.numerator, c.denominator * ps[m].den) for m, c in coefs]
+    D = lcm(*(q for _, _, q in terms))
+    scales = [p * (D // q) for _, p, q in terms]
+    # zip stops at the shortest term; the elimination zeroed every entry above
+    if any(sum(map(mul, scales, col)) for col in zip(*(v for v, _, _ in terms))):
+        return tuple((j, c) for j, c in enumerate(expand_in_basis(X * ps[k], P))
+                     if c != 0)
+    return tuple((j, c) for j, c in reversed(coefs) if c != 0) + ((k + 1, Rational(1)),)
+
+
+def structure_row(P: MPSPrefix, k: int) -> tuple:
+    """Row k of structure_rows(P), computed on first request together with
+    any row before it, and kept by P."""
+    rows = P._rows
+    while len(rows) <= k:
+        rows += (_row(P, len(rows)),)
+        object.__setattr__(P, "_rows", rows)
+    return rows[k]
+
+
 def structure_rows(P) -> tuple:
     """Row k holds the nonzero (j, chi_{k,j}) of x P_k = sum_j chi_{k,j} P_j,
     ascending in j, for k <= len(P) - 2: at most four entries when P is
-    2-orthogonal. A plain sequence is wrapped in an MPSPrefix; an MPSPrefix
-    computes its rows on first request and keeps them. Row k is the same
-    over every prefix of P that holds P_{k+1}."""
-    if not isinstance(P, MPSPrefix):
-        P = MPSPrefix(P)
-    if P._rows is None:
-        rows = tuple(tuple((j, c) for j, c in enumerate(expand_in_basis(X * p, P))
-                           if c != 0)
-                     for p in P.polys[:-1])
-        if any(row[-1] != (k + 1, 1) for k, row in enumerate(rows)):
-            raise ArithmeticError("monicity lost in structure expansion")
-        object.__setattr__(P, "_rows", rows)
+    2-orthogonal. Each row costs O(k) when it is four-term (see _row) and a
+    full expansion over P when it is not. A plain sequence is wrapped in
+    an MPSPrefix; an MPSPrefix keeps the rows computed so far. Row k is the
+    same over every prefix of P that holds P_{k+1}."""
+    P = _as_prefix(P)
+    for k in range(len(P) - 1):
+        structure_row(P, k)
     return P._rows
 
 
@@ -179,13 +217,15 @@ def fit_2orth_recurrence(P: MPSPrefix | Sequence[Polynomial]) -> RecurrenceCoeff
 
     Succeeds iff every chi_{k,j} with j < k-2 vanishes exactly and every
     gamma is nonzero; raises NotTwoOrthogonal(k - 1, ..) at the first
-    failing row otherwise.
+    failing row otherwise, and computes no row after it.
     """
     if len(P) < 4:
         raise ValueError("need P_0..P_3 to fit a four-term recurrence")
+    P = _as_prefix(P)
     zero = Rational(0)
     betas, alphas, gammas = [], [], []
-    for k, row in enumerate(structure_rows(P)):
+    for k in range(len(P) - 1):
+        row = structure_row(P, k)
         # witnesses index x P_k's row as k - 1, the chi_{n,nu} of the reports
         for j, c in row:
             if j < k - 2:
@@ -226,10 +266,10 @@ def dual_sequence(P, k_max: int, N: int) -> list:
         raise OrderExceeded(f"dual index {k_max} exceeds requested order {N}")
     if len(P) <= N:
         raise OrderExceeded(f"need P_0..P_{N}, got {len(P)} polynomials")
-    basis = P[: N + 1]
+    P = _as_prefix(P)
     # the rows run over integers: chi scaled to one denominator L, each
     # row c_n as (nums, den) reduced once
-    chi = structure_rows(P)[:N]
+    chi = [structure_row(P, k) for k in range(N)]
     L = lcm(*(c.denominator for row in chi for _, c in row))
     chi = [[(j, c.numerator * (L // c.denominator)) for j, c in row] for row in chi]
     rows = [((1,), 1)]
@@ -245,7 +285,7 @@ def dual_sequence(P, k_max: int, N: int) -> list:
     duals = [MomentForm.from_pair(tuple([nums[k] * (D // den) if k < len(nums) else 0
                                          for nums, den in rows]), D)
              for k in range(k_max + 1)]
-    check_biorthogonality(basis, duals, N)
+    check_biorthogonality(P, duals, N)
     return duals
 
 

@@ -25,13 +25,15 @@ def sampler():
 def corrupt_structure_row(monkeypatch):
     """corrupt(k) adds 1 to chi_{k,k-2}, the gamma_{k-1} of
     x P_k = P_{k+1} + .. + gamma_{k-1} P_{k-2}, in the structure rows that
-    the fit and dual_sequence read; the stored rows are left as they are."""
+    the fit and dual_sequence read (two_orth.structure_row); the stored
+    rows are left as they are."""
     def corrupt(k):
-        rows_of = two_orth.structure_rows
+        row_of = two_orth.structure_row
 
-        def perturbed(P):
-            rows = rows_of(P)
-            row = tuple((j, c + 1 if j == k - 2 else c) for j, c in rows[k])
-            return rows[:k] + (row,) + rows[k + 1:]
-        monkeypatch.setattr(two_orth, "structure_rows", perturbed)
+        def perturbed(P, n):
+            row = row_of(P, n)
+            if n != k:
+                return row
+            return tuple((j, c + 1 if j == k - 2 else c) for j, c in row)
+        monkeypatch.setattr(two_orth, "structure_row", perturbed)
     return corrupt

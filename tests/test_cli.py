@@ -51,6 +51,17 @@ class TestEigensolve:
         assert res["polynomials"][2] == ["0", "0", "1"]
         assert res["two_orthogonal"] is False
 
+    def test_generic_cubic_fit_failure(self, tmp_path):
+        # the first generic-cubic theorem-4 draw at seed 20250808, order 40
+        cfg = write_config(tmp_path, "g.json", {"operator": [
+            ["15/13"], ["-4/5", "11/8"], [], ["18/5", "2/3", "7/13", "-9/14"]]})
+        out = str(tmp_path / "report.json")
+        assert run_cli(["eigensolve", "--config", cfg, "--out", out]) == 0
+        res = json.loads(open(out).read())["results"]
+        assert res["two_orthogonal"] is False
+        assert res["fit_failure"] == {
+            "index": 3, "reason": "chi_{3,1} = 45471211770034624/1746873676153125 != 0"}
+
     def test_repeated_eigenvalue(self, tmp_path):
         cfg = write_config(tmp_path, "i.json", {"operator": [["1"]]})
         out = str(tmp_path / "report.json")

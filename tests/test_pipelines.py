@@ -12,7 +12,7 @@ from duorth import (DiffOperator, ParamSampler, Polynomial, Rational,
 from duorth.cli import main
 from duorth.hahn import ClassicalSystem
 from duorth.pipelines import PASSED, UNMET, VIOLATED
-from duorth.poly import ONE
+from duorth.poly import ONE, X
 
 R = Rational
 
@@ -326,6 +326,19 @@ class TestNegativeControls:
         assert res.status == VIOLATED
         assert res.failure["tag"] == "biorthogonality"
 
+    def test_hahn_sees_derivative_corruption(self, monkeypatch):
+        # P_4 + x in place of P_4 adds 1/4 to Q_3 = P_4' / 4 of the
+        # derivative sequence, whose fit then fails
+        check = pipelines.hahn_check
+
+        def hahn_check(P):
+            return check(P[:4] + (P[4] + X,) + P[5:])
+        monkeypatch.setattr(pipelines, "hahn_check", hahn_check)
+        res = run_theorem4(README_J, moment_order=28, check_order=14, hahn_n=8)
+        assert res.status == VIOLATED
+        assert res.failure["tag"] == "Hahn"
+        assert res.failure["lhs"] == "not 2-orthogonal: (4, 'chi_{4,0} = 5/18 != 0')"
+
     def test_identities_operator_sees_lambda_corruption(self, monkeypatch):
         _perturbed_lambda(monkeypatch)
         res = run_identities_operator(README_J, moment_order=24, check_order=12)
@@ -390,11 +403,12 @@ class TestDualPairControls:
         assert res.failure["tag"] == f"Eq-u{k}"
 
 
-def _const_offscale_operator():
+def _first_theorem4_draw(shape):
+    """The operator of the first theorem-4 draw of `shape` at seed 20250808."""
     sampler = ParamSampler(20250808)
     while True:
         draw = sampler.sample_theorem4(40)
-        if draw["shape"] == "const-offscale":
+        if draw["shape"] == shape:
             return draw["J"]
 
 
@@ -407,10 +421,12 @@ def _const_offscale_operator():
      "40378f38050972125e85ee66b3e0f283ddaadc6bce6637114ddea979fa31997f"),
     (lambda: run_identities_rc(ParamSampler(20250808).recurrence(42)), PASSED,
      "0ee0f09edc143fcde0746e76ff82b98e1555bb9be4fd917f829f20f2b4b8b669"),
-    (lambda: run_theorem4(_const_offscale_operator()), UNMET,
+    (lambda: run_theorem4(_first_theorem4_draw("const-offscale")), UNMET,
      "dbb500f73d4e4eb3461c42153f3493f34b478fb863592793e7cad1f8ee64729c"),
+    (lambda: run_theorem4(_first_theorem4_draw("generic-cubic")), UNMET,
+     "e2047c21d302ebc7f5d495394c4575564a6bf3818b6c1722f7d95546da61fbce"),
 ], ids=["theorem4", "theorem5", "identities-operator", "identities-rc",
-        "const-offscale"])
+        "const-offscale", "generic-cubic"])
 def test_report_bytes_pinned(run, status, digest):
     """SHA-256 of the canonical report bytes (the CLI's JSON encoding of
     the result) at the default orders 40/24: a refactor keeps every byte."""
@@ -421,33 +437,47 @@ def test_report_bytes_pinned(run, status, digest):
 
 
 class TestOneExpansionPerSequence:
-    """The fit and the duals read the same structure rows: each x P_k is
-    expanded over its sequence once per verdict."""
+    """The fit and the duals read the same structure rows: each row of a
+    sequence is computed once per verdict, a four-term row without a full
+    expansion, and no row after the first that is not four-term."""
 
     @pytest.fixture
-    def expansions(self, monkeypatch):
-        calls = []
-        expand = two_orth.expand_in_basis
+    def counts(self, monkeypatch):
+        rows, expansions = [], []
+        row, expand = two_orth._row, two_orth.expand_in_basis
 
-        def counted(q, P):
-            calls.append(len(P))
+        def counted_row(P, k):
+            rows.append((len(P), k))
+            return row(P, k)
+
+        def counted_expand(q, P):
+            expansions.append(len(P))
             return expand(q, P)
-        monkeypatch.setattr(two_orth, "expand_in_basis", counted)
-        return calls
+        monkeypatch.setattr(two_orth, "_row", counted_row)
+        monkeypatch.setattr(two_orth, "expand_in_basis", counted_expand)
+        return rows, expansions
 
-    def test_identities_rc(self, sampler, expansions):
+    def test_identities_rc(self, sampler, counts):
         # depth 20: P_0..P_20 has rows k <= 19
         res = run_identities_rc(sampler.recurrence(22), moment_order=20,
                                 check_order=8)
         assert res.status == PASSED
-        assert expansions == [21] * 20
+        assert counts == ([(21, k) for k in range(20)], [])
 
-    def test_theorem4(self, expansions):
+    def test_theorem4(self, counts):
         # the eigen-MPS P_0..P_28 has 28 rows; the Hahn test fits the
         # derivative MPS of P_0..P_9, Q_0..Q_8, with 8 rows
         res = run_theorem4(README_J, moment_order=28, check_order=14, hahn_n=8)
         assert res.status == PASSED
-        assert expansions == [29] * 28 + [9] * 8
+        assert counts == ([(29, k) for k in range(28)] + [(9, k) for k in range(8)], [])
+
+    def test_generic_cubic_stops_at_row_4(self, counts):
+        # the row of x P_4 has a nonzero entry at P_1 (witness index 3):
+        # rows 0..4 and one full expansion, none of the rows 5..39
+        res = run_theorem4(_first_theorem4_draw("generic-cubic"))
+        assert res.status == UNMET
+        assert res.failure["witness"].startswith("index 3: chi_{3,1} = ")
+        assert counts == ([(41, k) for k in range(5)], [41])
 
 
 class TestOneIntermediatesPerVerdict:

@@ -1,7 +1,10 @@
 """Recurrence generation, fitting, dual moments, the E/A/B/F pairs and the
 moment-level identity suites."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import rationals
 from duorth import (MomentForm, MPSPrefix, Polynomial, Rational,
                     RecurrenceCoeffs, check_dual_identities, dual_pairs,
                     dual_sequence, expand_in_basis, fit_2orth_recurrence,
@@ -70,6 +73,61 @@ class TestStructure:
         rows = structure_rows(P)
         assert structure_rows(P) is rows
         assert structure_rows(list(P)) == rows
+
+
+def dense_rows(P):
+    """The structure rows by one full expansion of every x P_k over P."""
+    return tuple(tuple((j, c) for j, c in enumerate(expand_in_basis(X * p, P))
+                       if c != 0)
+                 for p in P[:-1])
+
+
+def dense_witness(rows):
+    """(index, reason) of the fit's NotTwoOrthogonal on these rows, or None."""
+    for k, row in enumerate(rows):
+        for j, c in row:
+            if j < k - 2:
+                return k - 1, f"chi_{{{k - 1},{j}}} = {c} != 0"
+        if k >= 2 and row[0][0] != k - 2:
+            return k - 1, f"gamma_{k - 1} = 0 breaks regularity"
+    return None
+
+
+@st.composite
+def sequences(draw, max_len=10):
+    """Monic sequences P_0..P_{n-1}: generated by a random recurrence, the
+    same with P_k + c P_j in place of P_k, generic, or the monomials."""
+    n = draw(st.integers(min_value=4, max_value=max_len))
+    shape = draw(st.sampled_from(["generated", "perturbed", "generic", "monomial"]))
+    if shape == "monomial":
+        return [Polynomial.monomial(m) for m in range(n)]
+    if shape == "generic":
+        return [Polynomial(draw(st.lists(rationals(), min_size=m, max_size=m)) + [1])
+                for m in range(n)]
+    coeffs = st.lists(rationals(), min_size=n, max_size=n)
+    nonzero = rationals().filter(lambda r: r != 0)
+    rc = RecurrenceCoeffs(draw(coeffs), draw(coeffs),
+                          draw(st.lists(nonzero, min_size=n, max_size=n)))
+    P = list(generate(rc, n - 1))
+    if shape == "perturbed":
+        k = draw(st.integers(min_value=1, max_value=n - 1))
+        j = draw(st.integers(min_value=0, max_value=k - 1))
+        P[k] = P[k] + draw(nonzero) * P[j]
+    return P
+
+
+class TestRowsAgainstDenseExpansion:
+    @given(sequences())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_and_witness(self, P):
+        rows = dense_rows(P)
+        assert structure_rows(P) == rows
+        try:
+            fit_2orth_recurrence(P)
+            witness = None
+        except NotTwoOrthogonal as exc:
+            witness = exc.index, exc.reason
+        assert witness == dense_witness(rows)
 
 
 class TestFit:
