@@ -1,7 +1,10 @@
 """CLI: config parsing, subcommands, exit codes, report files, determinism."""
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 import duorth.pipelines as pipelines
 from duorth.cli import main
@@ -171,6 +174,23 @@ class TestIdentitiesAndHahn:
                            {"operator": [["2"], ["-1", "3"], [], ["1"]]})
         out = str(tmp_path / "report.json")
         assert run_cli(["hahn", "--config", cfg, "--out", out]) == 0
+
+    @pytest.mark.parametrize("operator, code, witness, digest", [
+        ([["1"], ["0", "1"]], 1,
+         {"index": 1, "reason": "gamma_1 = 0 breaks regularity"},
+         "cad524f76afb022a24545923469c739244ee3ca2bdc60014893c07883ffe93a7"),
+        ([["2"], ["-1", "3"], [], ["1"]], 0, None,
+         "6fa15886ff60874c41e8d870f83643e5e9b472828ffaafaa8998cc6c6e2b14de"),
+    ])
+    def test_hahn_report_bytes_pinned(self, tmp_path, operator, code, witness,
+                                      digest):
+        """SHA-256 of the hahn report file at the default flags."""
+        cfg = write_config(tmp_path, "hp.json", {"operator": operator})
+        out = tmp_path / "report.json"
+        assert run_cli(["hahn", "--config", cfg, "--out", str(out)]) == code
+        if witness is not None:
+            assert json.loads(out.read_text())["results"]["witness"] == witness
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestSweepMode:
