@@ -10,10 +10,10 @@ from .two_orth import (MPSPrefix, RecurrenceCoeffs, check_dual_identities,
                        dual_pairs, dual_sequence, expand_in_basis, fit_2orth_recurrence, generate,
                        orthogonality_check, structure_rows)
 from .eigensolver import OperatorMatrix, eigen_mps, operator_matrix, verify_eigen
-from .hahn import (ClassicalSystem, HahnVerdict, Intermediates,
-                   classical_system_check, derivative_mps, hahn_check,
-                   implied_first_coeffs, intermediates, j_expansion_check,
-                   lemma_identities_check, phi_theorem4, varpi_theorem5)
+from .hahn import (ClassicalSystem, Intermediates, classical_system_check,
+                   derivative_mps, hahn_check, implied_first_coeffs,
+                   intermediates, j_expansion_check, lemma_identities_check,
+                   phi_theorem4, varpi_theorem5)
 from .pipelines import (InstanceResult, run_identities_operator,
                         run_identities_rc, run_sweep, run_theorem4,
                         run_theorem5)
@@ -30,7 +30,7 @@ __all__ = [
     "expand_in_basis", "fit_2orth_recurrence", "generate",
     "orthogonality_check", "structure_rows",
     "OperatorMatrix", "eigen_mps", "operator_matrix", "verify_eigen",
-    "ClassicalSystem", "HahnVerdict", "Intermediates",
+    "ClassicalSystem", "Intermediates",
     "classical_system_check", "derivative_mps", "hahn_check",
     "implied_first_coeffs", "intermediates", "j_expansion_check",
     "lemma_identities_check", "phi_theorem4", "varpi_theorem5",

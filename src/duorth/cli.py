@@ -93,6 +93,8 @@ def _load_config(args) -> dict:
     for key in ("n_max", "moment_order", "check_order", "seed", "draws"):
         if type(cfg[key]) is not int:
             raise InputError(f"config field {key} must be an integer")
+    if not isinstance(cfg["target"], str):
+        raise InputError("config field target must be a string")
     if cfg["n_max"] < 4:
         raise InputError("n_max must be >= 4")
     return cfg
@@ -232,15 +234,14 @@ def _cmd_hahn(cfg):
             raise InputError(f"recurrence too shallow for n_max={cfg['n_max']}: {exc}")
     else:
         raise InputError("hahn needs an operator or a recurrence")
-    verdict_obj = hahn_check(P)
-    if verdict_obj.positive:
-        results = {"positive": True,
-                   "derivative_recurrence": rc_to_tree(verdict_obj.rc)}
-        return EXIT_PASSED, results, f"hahn: positive to n={depth - 1}"
-    results = {"positive": False,
-               "witness": {"index": verdict_obj.witness[0],
-                           "reason": verdict_obj.witness[1]}}
-    return EXIT_VIOLATED, results, "hahn: negative"
+    try:
+        rc = hahn_check(P)
+    except NotTwoOrthogonal as exc:
+        results = {"positive": False,
+                   "witness": {"index": exc.index, "reason": exc.reason}}
+        return EXIT_VIOLATED, results, "hahn: negative"
+    results = {"positive": True, "derivative_recurrence": rc_to_tree(rc)}
+    return EXIT_PASSED, results, f"hahn: positive to n={depth - 1}"
 
 
 def _cmd_sweep(cfg):
@@ -274,18 +275,21 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         code, results, verdict = _HANDLERS[args.mode](cfg)
+        report = {
+            "mode": args.mode,
+            "config": _config_echo(cfg),
+            "exit_code": code,
+            "results": results,
+        }
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+            except OSError as exc:
+                raise InputError(f"cannot write report {args.out}: {exc}")
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    report = {
-        "mode": args.mode,
-        "config": _config_echo(cfg),
-        "exit_code": code,
-        "results": results,
-    }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(verdict)
     if code != EXIT_PASSED:
         print(f"(details in {args.out})", file=sys.stderr)

@@ -13,7 +13,7 @@ from math import comb, lcm
 
 from .backend import Rat as Rational
 from .diffop import DiffOperator
-from .errors import NonInvertible, RepeatedEigenvalue
+from .errors import IdentityViolated, NonInvertible, RepeatedEigenvalue
 from .poly import Polynomial
 from .two_orth import MPSPrefix
 
@@ -109,9 +109,10 @@ def eigen_mps(J: DiffOperator, n_max: int):
     return MPSPrefix(polys), lam
 
 
-def verify_eigen(J: DiffOperator, P, lambdas) -> bool:
-    """True iff J(P_n) = lambda_n P_n exactly for every n in range."""
+def verify_eigen(J: DiffOperator, P, lambdas) -> None:
+    """Check J(P_n) = lambda_n P_n exactly for every n in range; raise
+    IdentityViolated (tag eigen-relation) at the first n that fails."""
     for n in range(len(P)):
-        if J.apply(P[n]) != lambdas[n] * P[n]:
-            return False
-    return True
+        lhs, rhs = J.apply(P[n]), lambdas[n] * P[n]
+        if lhs != rhs:
+            raise IdentityViolated("eigen-relation", f"n={n}", lhs, rhs)

@@ -18,8 +18,7 @@ from typing import Sequence
 
 from .backend import Rat as Rational
 from .diffop import DiffOperator
-from .errors import (ClosedFormMismatch, HypothesisViolated, NotTwoOrthogonal,
-                     OrderExceeded)
+from .errors import ClosedFormMismatch, HypothesisViolated, OrderExceeded
 from .forms import MomentForm, combine, require_equal
 from .poly import ONE, Polynomial, as_rational
 from .reporting import Report
@@ -31,7 +30,7 @@ __all__ = [
     "implied_first_coeffs", "check_scope", "j_expansion_check",
     "lemma_identities_check", "phi_theorem4", "varpi_theorem5",
     "classical_system_check",
-    "derivative_mps", "HahnVerdict", "hahn_check",
+    "derivative_mps", "hahn_check",
 ]
 
 _HALF = Rational(1, 2)
@@ -223,6 +222,19 @@ def _integer_reciprocal_m(value: Rational):
     return None
 
 
+def _cross_checked(it: Intermediates, name: str, built: dict,
+                   closed: dict) -> ClassicalSystem:
+    """The classical system whose Phi entries (keyed "11".."22") are
+    `built`, once each equals its closed form (ClosedFormMismatch under
+    name + key otherwise); Psi = ((0, 1), 2 (E1, A0))."""
+    for ij, form in closed.items():
+        if built[ij] != form:
+            raise ClosedFormMismatch(name + ij, built[ij], form)
+    psi = ((Polynomial.zero(), ONE), tuple(2 * c for c in it.pairs[2]))
+    return ClassicalSystem(((built["11"], built["12"]),
+                            (built["21"], built["22"])), psi)
+
+
 def phi_theorem4(it: Intermediates) -> ClassicalSystem:
     """The classical system of the a_2 = 0 family, read off `it`.
 
@@ -249,21 +261,21 @@ def phi_theorem4(it: Intermediates) -> ClassicalSystem:
     al2, al3 = rc.alpha(2), rc.alpha(3)
 
     built = {
-        "phi11": -g1 * it.f0,
-        "phi12": -g1 * (2 * a1 + it.f1),
-        "phi21": it.pbar0,
-        "phi22": it.pbar1,
+        "11": -g1 * it.f0,
+        "12": -g1 * (2 * a1 + it.f1),
+        "21": it.pbar0,
+        "22": it.pbar1,
     }
     closed = {
-        "phi11": Polynomial([
+        "11": Polynomial([
             t3 * (al2 * b0 - g1) - al2 * b0 / (3 * g1) + 1,
             al2 * (Rational(1, 3) / g1 - t3),
         ]),
-        "phi12": Polynomial([
+        "12": Polynomial([
             (-2 * b0 + b1 * (2 - 3 * t3 * g1)) / 3,
             t3 * g1,
         ]),
-        "phi21": Polynomial([
+        "21": Polynomial([
             (al3 * (al2 * b0 - g1) * (1 - 9 * t3 * g1)
              + 2 * b0 * (b0 + b2 * (-1 + 6 * t3 * g1)) * g2) / (3 * g1 * g2),
             (al2 * al3 * (-1 + 9 * t3 * g1)
@@ -271,20 +283,12 @@ def phi_theorem4(it: Intermediates) -> ClassicalSystem:
             / (3 * g1 * g2),
             4 * t3,
         ]),
-        "phi22": Polynomial([
+        "22": Polynomial([
             (al3 * b1 * (-1 + 9 * t3 * g1) + 3 * (1 - 4 * t3 * g1) * g2) / (3 * g2),
             al3 * (1 - 9 * t3 * g1) / (3 * g2),
         ]),
     }
-    for entry in built:
-        if built[entry] != closed[entry]:
-            raise ClosedFormMismatch(entry, built[entry], closed[entry])
-
-    psi = ((Polynomial.zero(), ONE), tuple(2 * c for c in it.pairs[2]))
-    return ClassicalSystem((
-        (built["phi11"], built["phi12"]),
-        (built["phi21"], built["phi22"]),
-    ), psi)
+    return _cross_checked(it, "phi", built, closed)
 
 
 def varpi_theorem5(it: Intermediates, tau) -> ClassicalSystem:
@@ -332,23 +336,20 @@ def varpi_theorem5(it: Intermediates, tau) -> ClassicalSystem:
             raise ClosedFormMismatch(name, p, "(degree <= 1 required)")
 
     al1, al2, al3 = rc.alpha(1), rc.alpha(2), rc.alpha(3)
-    built = {
-        "varpi11": varpi11, "varpi12": varpi12,
-        "varpi21": varpi21, "varpi22": varpi22,
-    }
+    built = {"11": varpi11, "12": varpi12, "21": varpi21, "22": varpi22}
     closed = {
-        "varpi11": Polynomial([
+        "11": Polynomial([
             (3 * b0 * g2 + al2 * b0 * (b1 + b2 - 2 * (b3 + tau))
              + g1 * (-2 * b0 - 3 * b1 + 2 * b3 + 6 * tau)) / (6 * g1 * tau),
             (3 * (g1 - g2) - al2 * (b1 + b2 - 2 * (b3 + tau))) / (6 * g1 * tau),
         ]),
-        "varpi12": Polynomial([
+        "12": Polynomial([
             (g1 * (3 * g1 * a02 - 2 * (al2 + 2 * b0 * tau + b1 * (b1 - b3 - 2 * tau)))
              + al1 * (-g1 + 3 * g2 + al2 * (b1 + b2 - 2 * (b3 + tau))))
             / (6 * g1 * tau),
             (3 * g1 * a12 + 2 * b1 - 2 * b3) / (6 * tau),
         ]),
-        "varpi21": Polynomial([
+        "21": Polynomial([
             (-3 * al1 * b0 * g2 ** 2
              + g2 * g1 * (al1 * (2 * b0 - 2 * b3 + 3 * (b1 + tau))
                           + 6 * b0 * (b0 - b2) * tau)
@@ -359,7 +360,7 @@ def varpi_theorem5(it: Intermediates, tau) -> ClassicalSystem:
              + 3 * g2 * (al1 * (g2 - g1) + 2 * (b2 - b0) * g1 * tau))
             / (9 * g1 ** 2 * g2 * tau),
         ]),
-        "varpi22": Polynomial([
+        "22": Polynomial([
             (al1 * g1 * (g2 * (-3 * g1 * a02 + 7 * b0 * tau
                                + 2 * (b1 ** 2 + b1 * (tau - b3) - 3 * b2 * tau))
                          + al2 * (2 * g2 + 3 * al3 * tau))
@@ -369,15 +370,7 @@ def varpi_theorem5(it: Intermediates, tau) -> ClassicalSystem:
             / (9 * g1 * g2 * tau),
         ]),
     }
-    for entry in built:
-        if built[entry] != closed[entry]:
-            raise ClosedFormMismatch(f"Table-1-{entry}", built[entry], closed[entry])
-
-    psi = ((Polynomial.zero(), ONE), tuple(2 * c for c in it.pairs[2]))
-    return ClassicalSystem((
-        (varpi11, varpi12),
-        (varpi21, varpi22),
-    ), psi)
+    return _cross_checked(it, "Table-1-varpi", built, closed)
 
 
 def classical_system_check(sys, duals, M: int) -> Report:
@@ -404,34 +397,9 @@ def derivative_mps(P) -> MPSPrefix:
     return MPSPrefix([P[n + 1].derivative() / (n + 1) for n in range(len(P) - 1)])
 
 
-class HahnVerdict:
-    """Outcome of the derivative-sequence test: positive iff the derivative
-    MPS is itself 2-orthogonal; carries the fitted recurrence or the
-    failure witness."""
-
-    __slots__ = ("positive", "rc", "witness")
-
-    def __init__(self, positive, rc=None, witness=None):
-        self.positive = positive
-        self.rc = rc
-        self.witness = witness
-
-    def __bool__(self):
-        return self.positive
-
-    def __repr__(self):
-        if self.positive:
-            return "HahnVerdict(positive)"
-        return f"HahnVerdict(negative: {self.witness})"
-
-
-def hahn_check(P) -> HahnVerdict:
-    """Hahn's property of P: fit a four-term recurrence on the normalized
-    derivative sequence; a fit failure is a negative verdict, not an error."""
+def hahn_check(P) -> RecurrenceCoeffs:
+    """Hahn's property of P: the four-term recurrence fitted on the
+    normalized derivative sequence; NotTwoOrthogonal when it has none."""
     if len(P) < 5:
         raise ValueError("need P_0..P_4 to test the derivative sequence")
-    try:
-        fitted = fit_2orth_recurrence(derivative_mps(P))
-    except NotTwoOrthogonal as exc:
-        return HahnVerdict(False, witness=(exc.index, exc.reason))
-    return HahnVerdict(True, rc=fitted)
+    return fit_2orth_recurrence(derivative_mps(P))

@@ -2,8 +2,9 @@
 operator families for sweeps and property suites.
 
 Rationals draw numerator and denominator uniformly from [1, 20] with a
-random sign, rejection-resampled against every nonzero/admissibility
-constraint; small magnitudes keep intermediate values compact.
+random sign, so they are never zero, rejection-resampled against every
+admissibility constraint; small magnitudes keep intermediate values
+compact.
 
 Theorem sweeps draw a deterministic mixture of operator shapes: the
 qualifying subfamily whose eigen-MPS is 2-orthogonal with matching
@@ -30,24 +31,18 @@ class ParamSampler:
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
 
-    def rat(self, nonzero: bool = False) -> Rational:
-        v = Rational(self.rng.randint(1, 20) * self.rng.choice((1, -1)),
-                     self.rng.randint(1, 20))
-        # sampled numerators never vanish, so v != 0 already
-        assert not nonzero or v != 0
-        return v
+    def rat(self) -> Rational:
+        return Rational(self.rng.randint(1, 20) * self.rng.choice((1, -1)),
+                        self.rng.randint(1, 20))
 
-    def rat_avoiding(self, *banned) -> Rational:
+    def rat_avoiding(self, banned: Rational) -> Rational:
         while True:
             v = self.rat()
-            if all(v != b for b in banned):
+            if v != banned:
                 return v
 
-    def poly(self, max_degree: int, monic: bool = False) -> Polynomial:
-        coeffs = [self.rat() for _ in range(max_degree + 1)]
-        if monic:
-            coeffs[-1] = Rational(1)
-        return Polynomial(coeffs)
+    def poly(self, max_degree: int) -> Polynomial:
+        return Polynomial([self.rat() for _ in range(max_degree + 1)])
 
     def recurrence(self, depth: int, *, alpha1_zero: bool = False,
                    tie_alpha4: bool = False) -> RecurrenceCoeffs:
@@ -55,7 +50,7 @@ class ParamSampler:
         gamma_1..gamma_depth (all gammas nonzero)."""
         betas = [self.rat() for _ in range(depth)]
         alphas = [self.rat() for _ in range(depth)]
-        gammas = [self.rat(nonzero=True) for _ in range(depth)]
+        gammas = [self.rat() for _ in range(depth)]
         if alpha1_zero:
             alphas[0] = Rational(0)
         if tie_alpha4:
@@ -84,7 +79,7 @@ class ParamSampler:
         """A constant a_0 making every lambda_n = a_0 + nums_n / den nonzero:
         a_0 + nums_n / den = 0 iff -a_0 den is the integer nums_n."""
         while True:
-            a0 = self.rat(nonzero=True)
+            a0 = self.rat()
             v = -a0 * den
             if v.denominator != 1 or v.numerator not in nums:
                 return a0
@@ -100,7 +95,7 @@ class ParamSampler:
         and pairwise distinct up to the horizon.
         """
         while True:
-            c1 = self.rat(nonzero=True)
+            c1 = self.rat()
             c0 = self.rat()
             roll = self.rng.random()
             if roll < 0.7:
@@ -108,7 +103,7 @@ class ParamSampler:
                 a3 = Polynomial([1])
             elif roll < 0.85:
                 shape = "const-offscale"
-                a3 = Polynomial([self.rat_avoiding(Rational(0), Rational(1))])
+                a3 = Polynomial([self.rat_avoiding(Rational(1))])
             else:
                 shape = "generic-cubic"
                 a3 = self.poly(3)
@@ -136,9 +131,9 @@ class ParamSampler:
         'linear-a2' (deg a_2 = 1: eigen-MPS not 2-orthogonal).
         """
         while True:
-            c1 = self.rat(nonzero=True)
+            c1 = self.rat()
             c0 = self.rat()
-            s0 = self.rat(nonzero=True)
+            s0 = self.rat()
             roll = self.rng.random()
             if roll < 0.7:
                 shape = "qualifying"
@@ -147,11 +142,11 @@ class ParamSampler:
             elif roll < 0.85:
                 shape = "tau-offscale"
                 a2 = Polynomial([s0])
-                tau = self.rat_avoiding(Rational(0), 1 / s0)
+                tau = self.rat_avoiding(1 / s0)
             else:
                 shape = "linear-a2"
-                a2 = Polynomial([s0, self.rat(nonzero=True)])
-                tau = self.rat(nonzero=True)
+                a2 = Polynomial([s0, self.rat()])
+                tau = self.rat()
             # a_2^[2] = a_3^[3] = 0 here, so lambda_n = a_0 + n c_1: distinct
             p1, q1 = c1.as_integer_ratio()
             a0 = self._a0_avoiding({n * p1 for n in range(horizon + 1)}, q1)

@@ -163,7 +163,7 @@ def test_criterion_4_closed_form_identities():
         a3 = s.poly(3)
         if a3.degree != 3:
             continue
-        J = DiffOperator([Polynomial([s.rat(True)]), a1, Polynomial.zero(), a3])
+        J = DiffOperator([Polynomial([s.rat()]), a1, Polynomial.zero(), a3])
         try:
             # ClosedFormMismatch would fail the build
             phi_theorem4(intermediates(J, rc))
@@ -175,9 +175,9 @@ def test_criterion_4_closed_form_identities():
     while done < 5:
         rc = s.recurrence(8, tie_alpha4=True)
         a1 = R(-1, 3) / rc.gamma(1) * (X - Polynomial.constant(rc.beta(0)))
-        a2 = Polynomial([s.rat(), s.rat(True)])
-        tau = s.rat(True)
-        J = DiffOperator([Polynomial([s.rat(True)]), a1, a2, tau * a2])
+        a2 = Polynomial([s.rat(), s.rat()])
+        tau = s.rat()
+        J = DiffOperator([Polynomial([s.rat()]), a1, a2, tau * a2])
         try:
             varpi_theorem5(intermediates(J, rc), tau)
         except HypothesisViolated:

@@ -279,6 +279,18 @@ class TestInputErrors:
         assert run_cli(["sweep", "--config", cfg,
                         "--out", str(tmp_path / "r.json")]) == 3
 
+    def test_non_string_sweep_target_in_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "tgtl.json", {"target": ["x"]})
+        assert run_cli(["sweep", "--config", cfg,
+                        "--out", str(tmp_path / "r.json")]) == 3
+        assert "input error: " in capsys.readouterr().err
+
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "d.json", {"operator": [["0"], ["1"]]})
+        assert run_cli(["classify", "--config", cfg,
+                        "--out", str(tmp_path / "missing" / "r.json")]) == 3
+        assert "input error: " in capsys.readouterr().err
+
     def test_tau_required_when_a2_zero(self, tmp_path):
         cfg = write_config(tmp_path, "t5z.json",
                            {"operator": [["2"], ["-1", "3"], [], ["1"]]})

@@ -4,7 +4,7 @@ import pytest
 
 from duorth import (DiffOperator, Polynomial, Rational, eigen_mps,
                     operator_matrix, verify_eigen)
-from duorth.errors import NonInvertible, RepeatedEigenvalue
+from duorth.errors import IdentityViolated, NonInvertible, RepeatedEigenvalue
 from duorth.poly import ONE
 
 R = Rational
@@ -91,7 +91,7 @@ class TestEigenMps:
         for _ in range(50):
             J = rand_admissible(sampler, 12)
             P, lam = eigen_mps(J, 12)
-            assert verify_eigen(J, P, lam)
+            assert verify_eigen(J, P, lam) is None
 
     def test_unique_vs_gaussian_oracle(self, sampler):
         for order in (3,) * 5 + (4, 4, 5, 5):
@@ -116,14 +116,16 @@ class TestEigenMps:
 class TestVerifyEigen:
     def test_wrong_lambda(self):
         P = [Polynomial.monomial(n) for n in range(4)]
-        assert not verify_eigen(op([1], [1]), P, [R(1)] * 4)
+        with pytest.raises(IdentityViolated, match="eigen-relation violated at n=1:"):
+            verify_eigen(op([1], [1]), P, [R(1)] * 4)
 
     def test_perturbed_coefficient(self):
         P, lam = eigen_mps(EULER, 5)
         polys = list(P)
         polys[3] = polys[3] + ONE
-        assert not verify_eigen(EULER, polys, lam)
+        with pytest.raises(IdentityViolated, match="eigen-relation violated at n=3:"):
+            verify_eigen(EULER, polys, lam)
 
     def test_accepts_valid(self):
         P, lam = eigen_mps(EULER, 5)
-        assert verify_eigen(EULER, P, lam)
+        assert verify_eigen(EULER, P, lam) is None

@@ -8,7 +8,8 @@ from duorth import (DiffOperator, Polynomial, Rational, classical_system_check,
                     fit_2orth_recurrence, generate, hahn_check,
                     implied_first_coeffs, intermediates, j_expansion_check,
                     lemma_identities_check, phi_theorem4, varpi_theorem5)
-from duorth.errors import ClosedFormMismatch, HypothesisViolated
+from duorth.errors import (ClosedFormMismatch, HypothesisViolated,
+                          NotTwoOrthogonal)
 from duorth.poly import ONE, Polynomial as P_, X
 from duorth.two_orth import MPSPrefix
 
@@ -109,7 +110,7 @@ def theorem4_generic_inputs(sampler):
         recip = 1 / t3g1 if t3g1 != 0 else None
         if recip is not None and recip.denominator == 1 and recip >= 1:
             continue
-        J = DiffOperator([Polynomial([sampler.rat(True)]), a1,
+        J = DiffOperator([Polynomial([sampler.rat()]), a1,
                           Polynomial.zero(), a3])
         return J, rc
 
@@ -166,9 +167,9 @@ def theorem5_generic_inputs(sampler):
     generic nonzero tau."""
     rc = sampler.recurrence(8, tie_alpha4=True)
     a1 = R(-1, 3) / rc.gamma(1) * (X - Polynomial.constant(rc.beta(0)))
-    a2 = Polynomial([sampler.rat(), sampler.rat(True)])
-    tau = sampler.rat(True)
-    J = DiffOperator([Polynomial([sampler.rat(True)]), a1, a2, tau * a2])
+    a2 = Polynomial([sampler.rat(), sampler.rat()])
+    tau = sampler.rat()
+    J = DiffOperator([Polynomial([sampler.rat()]), a1, a2, tau * a2])
     return J, rc, tau
 
 
@@ -200,9 +201,9 @@ class TestVarpiTheorem5:
             alphas = alphas[:3] + (alphas[1] * gammas[2] / gammas[1],) + alphas[4:]
             rc = RecurrenceCoeffs(rc0.betas, alphas, gammas)
             a1 = R(-1, 3) / g * (X - Polynomial.constant(rc.beta(0)))
-            a2 = Polynomial([sampler.rat(), sampler.rat(True)])
-            tau = sampler.rat(True)
-            J = DiffOperator([Polynomial([sampler.rat(True)]), a1, a2, tau * a2])
+            a2 = Polynomial([sampler.rat(), sampler.rat()])
+            tau = sampler.rat()
+            J = DiffOperator([Polynomial([sampler.rat()]), a1, a2, tau * a2])
             try:
                 system = varpi_theorem5(intermediates(J, rc), tau)
                 break
@@ -284,15 +285,15 @@ class TestHahnCheck:
             q = Q[n]
             anti = [sampler.rat()] + [q[i] / (i + 1) for i in range(n + 1)]
             polys.append(Polynomial(anti) * (n + 1))
-        verdict = hahn_check(MPSPrefix(polys))
-        assert verdict.positive
-        assert verdict.rc.agrees_with(rc)
+        assert hahn_check(MPSPrefix(polys)).agrees_with(rc)
 
     def test_monomials_negative(self):
         P = [Polynomial.monomial(n) for n in range(7)]
-        verdict = hahn_check(P)
-        assert not verdict.positive
+        with pytest.raises(NotTwoOrthogonal):
+            hahn_check(P)
 
     def test_family4_eigen_positive(self, inst4):
         J, P, lam, rc, duals = inst4
-        assert hahn_check(P.polys[:13]).positive
+        # the fitted rc regenerates the derivative sequence it was read off
+        Q = derivative_mps(P.polys[:13])
+        assert list(generate(hahn_check(P.polys[:13]), len(Q) - 1)) == list(Q)

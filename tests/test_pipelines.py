@@ -345,6 +345,16 @@ class TestNegativeControls:
         assert res.status == VIOLATED
         assert res.failure["tag"] == "eigen-relation"
 
+    @pytest.mark.parametrize("run", [run_theorem4, run_identities_operator])
+    def test_eigen_relation_witness(self, monkeypatch, run):
+        # lambda_3 + 1 breaks J(P_3) = lambda_3 P_3 first at n = 3
+        _perturbed_lambda(monkeypatch)
+        res = run(README_J, moment_order=28, check_order=14)
+        assert res.failure == {
+            "tag": "eigen-relation", "where": "n=3",
+            "lhs": "22/27 + (11/3)x + (-11)x^2 + 11x^3",
+            "rhs": "8/9 + 4x + (-12)x^2 + 12x^3"}
+
     def test_sweep_dumps_violated_draws(self, monkeypatch):
         _perturbed_beta2(monkeypatch)
         tree = run_sweep("verify-theorem4", seed=11, draws=3,
