@@ -3,9 +3,9 @@ systems with their printed closed forms, the matrix functional equation,
 and the derivative-sequence test."""
 import pytest
 
-from duorth import (DiffOperator, Polynomial, Rational, classical_system_check,
-                    derivative_mps, dual_sequence, eigen_mps,
-                    fit_2orth_recurrence, generate, hahn_check,
+from duorth import (DiffOperator, Intermediates, Polynomial, Rational,
+                    classical_system_check, derivative_mps, dual_sequence,
+                    eigen_mps, fit_2orth_recurrence, generate, hahn_check,
                     implied_first_coeffs, intermediates, j_expansion_check,
                     lemma_identities_check, phi_theorem4, varpi_theorem5)
 from duorth.errors import (ClosedFormMismatch, HypothesisViolated,
@@ -239,6 +239,31 @@ class TestVarpiTheorem5:
                             J.coeff(3) + ONE])
         with pytest.raises(HypothesisViolated):
             varpi_theorem5(intermediates(bad, rc), tau)
+
+
+def _with(it, **fields):
+    """A copy of the intermediates `it` with the given fields replaced."""
+    kw = {name: getattr(it, name) for name in it.__slots__}
+    kw.update(fields)
+    return Intermediates(**kw)
+
+
+class TestClosedFormMismatchNames:
+    """An entry that leaves its closed form raises under its own name."""
+
+    def test_phi_entry(self, inst4):
+        J, P, lam, rc, duals = inst4
+        it = intermediates(J, rc)
+        with pytest.raises(ClosedFormMismatch) as err:
+            phi_theorem4(_with(it, pbar1=it.pbar1 + ONE))
+        assert err.value.entry == "phi22"
+
+    def test_varpi_entry(self, inst5):
+        J, P, lam, rc, duals = inst5
+        it = intermediates(J, rc)
+        with pytest.raises(ClosedFormMismatch) as err:
+            varpi_theorem5(_with(it, pbar0=it.pbar0 + ONE), 1 / J.coeff(2)[0])
+        assert err.value.entry == "Table-1-varpi21"
 
 
 class TestClassicalSystemCheck:
