@@ -8,7 +8,7 @@ structured JSON report (--out) and prints a one-line verdict.
 
 Exit codes: 0 all checks passed, 1 identity violated (or negative Hahn
 verdict), 2 hypotheses unmet / instance outside theorem scope, 3 input
-error.
+error (including a report path that cannot be written).
 """
 from __future__ import annotations
 
