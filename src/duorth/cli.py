@@ -100,28 +100,18 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _get_operator(cfg, required=True):
-    tree = cfg.get("operator")
+def _get_input(cfg, key, parse, required=True):
+    """The config entry `key` read by `parse`; None when it is absent and
+    not required."""
+    tree = cfg.get(key)
     if tree is None:
         if required:
-            raise InputError("this mode needs an \"operator\" in the config")
+            raise InputError(f"this mode needs an \"{key}\" in the config")
         return None
     try:
-        return operator_from_tree(tree)
-    except (DuorthError, ValueError, TypeError, ZeroDivisionError) as exc:
-        raise InputError(f"bad operator: {exc}")
-
-
-def _get_recurrence(cfg, required=True):
-    tree = cfg.get("recurrence")
-    if tree is None:
-        if required:
-            raise InputError("this mode needs a \"recurrence\" in the config")
-        return None
-    try:
-        return rc_from_tree(tree)
+        return parse(tree)
     except (DuorthError, ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
-        raise InputError(f"bad recurrence: {exc}")
+        raise InputError(f"bad {key}: {exc}")
 
 
 def _infer_tau(cfg, J):
@@ -150,7 +140,7 @@ def _config_echo(cfg) -> dict:
 
 
 def _cmd_classify(cfg):
-    J = _get_operator(cfg)
+    J = _get_input(cfg, "operator", operator_from_tree)
     cls = J.classify_order(cfg["n_max"])
     if cls.classified:
         results = {"classified": True, "k": cls.k,
@@ -164,7 +154,7 @@ def _cmd_classify(cfg):
 
 
 def _cmd_eigensolve(cfg):
-    J = _get_operator(cfg)
+    J = _get_input(cfg, "operator", operator_from_tree)
     try:
         P, lam = eigen_mps(J, cfg["n_max"])
     except (NonInvertible, RepeatedEigenvalue) as exc:
@@ -200,17 +190,18 @@ def _verify(cfg, mode, run, *args):
 
 
 def _cmd_theorem4(cfg):
-    return _verify(cfg, "verify-theorem4", run_theorem4, _get_operator(cfg))
+    J = _get_input(cfg, "operator", operator_from_tree)
+    return _verify(cfg, "verify-theorem4", run_theorem4, J)
 
 
 def _cmd_theorem5(cfg):
-    J = _get_operator(cfg)
+    J = _get_input(cfg, "operator", operator_from_tree)
     return _verify(cfg, "verify-theorem5", run_theorem5, J, _infer_tau(cfg, J))
 
 
 def _cmd_identities(cfg):
-    J = _get_operator(cfg, required=False)
-    rc = _get_recurrence(cfg, required=False)
+    J = _get_input(cfg, "operator", operator_from_tree, False)
+    rc = _get_input(cfg, "recurrence", rc_from_tree, False)
     if J is not None:
         return _verify(cfg, "verify-identities", run_identities_operator, J)
     if rc is not None:
@@ -219,8 +210,8 @@ def _cmd_identities(cfg):
 
 
 def _cmd_hahn(cfg):
-    J = _get_operator(cfg, required=False)
-    rc = _get_recurrence(cfg, required=False)
+    J = _get_input(cfg, "operator", operator_from_tree, False)
+    rc = _get_input(cfg, "recurrence", rc_from_tree, False)
     depth = cfg["n_max"] + 1  # n_max >= 4: P_0..P_4 at least
     if J is not None:
         try:

@@ -54,8 +54,9 @@ class RepeatedEigenvalue(DuorthError):
 class IdentityViolated(DuorthError):
     """An exact identity check failed.
 
-    Attributes: tag (identity label used in reports), where (moment index or
-    similar locator), lhs, rhs (string forms of both sides).
+    Attributes: tag (identity label used in reports), where (locator: a
+    moment index, a coefficient name, "closed form", "degree"), lhs, rhs
+    (string forms of both sides).
     """
 
     def __init__(self, tag, where, lhs, rhs):
@@ -78,13 +79,3 @@ class HypothesisViolated(DuorthError):
         self.hypothesis = hypothesis
         self.witness = str(witness)
 
-
-class ClosedFormMismatch(DuorthError):
-    """A defining construction and its printed closed form disagree."""
-
-    def __init__(self, entry, built, closed):
-        super().__init__(
-            f"closed-form mismatch in {entry}: built {built}, closed form {closed}")
-        self.entry = entry
-        self.built = str(built)
-        self.closed = str(closed)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .backend import Rat as Rational
 from .diffop import DiffOperator
-from .errors import ClosedFormMismatch, HypothesisViolated, OrderExceeded
+from .errors import HypothesisViolated, IdentityViolated, OrderExceeded
 from .forms import MomentForm, combine, require_equal
 from .poly import ONE, Polynomial, as_rational
 from .reporting import Report
@@ -225,11 +225,11 @@ def _integer_reciprocal_m(value: Rational):
 def _cross_checked(it: Intermediates, name: str, built: dict,
                    closed: dict) -> ClassicalSystem:
     """The classical system whose Phi entries (keyed "11".."22") are
-    `built`, once each equals its closed form (ClosedFormMismatch under
-    name + key otherwise); Psi = ((0, 1), 2 (E1, A0))."""
+    `built`, once each equals its closed form (IdentityViolated tagged
+    name + key, at "closed form", otherwise); Psi = ((0, 1), 2 (E1, A0))."""
     for ij, form in closed.items():
         if built[ij] != form:
-            raise ClosedFormMismatch(name + ij, built[ij], form)
+            raise IdentityViolated(name + ij, "closed form", built[ij], form)
     psi = ((Polynomial.zero(), ONE), tuple(2 * c for c in it.pairs[2]))
     return ClassicalSystem(((built["11"], built["12"]),
                             (built["21"], built["22"])), psi)
@@ -241,7 +241,7 @@ def phi_theorem4(it: Intermediates) -> ClassicalSystem:
     Hypothesis gates: a_2 = 0; a_1 tied to (beta_0, gamma_1); alpha_1 = 0
     (forced, tag Eq-p1=0); admissibility a_3^[3] != 1/(gamma_1 (m+1)).
     Each Phi entry is built from its defining form and from its printed
-    closed form; any disagreement raises ClosedFormMismatch.
+    closed form; any disagreement raises IdentityViolated tagged phi<ij>.
     """
     J, rc = it.J, it.rc
     if not J.coeff(2).is_zero():
@@ -333,7 +333,7 @@ def varpi_theorem5(it: Intermediates, tau) -> ClassicalSystem:
     varpi22 = it.pbar1 + Rational(2, 3) * A0 * varpi12
     for name, p in (("varpi11", varpi11), ("varpi12", varpi12)):
         if p.degree > 1:
-            raise ClosedFormMismatch(name, p, "(degree <= 1 required)")
+            raise IdentityViolated(name, "degree", p, "degree <= 1")
 
     al1, al2, al3 = rc.alpha(1), rc.alpha(2), rc.alpha(3)
     built = {"11": varpi11, "12": varpi12, "21": varpi21, "22": varpi22}

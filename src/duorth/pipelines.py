@@ -9,15 +9,15 @@ to every identity stage that reads them, and verifies every functional
 identity exactly at the requested moment order and, for a theorem run,
 Hahn's property and the classical system. Outcomes are three-valued:
 "passed", "hypotheses-unmet" (instance outside theorem scope), or
-"violated" (an exact identity failed; always reported with its witness).
-Orders outside moment_order >= 6, 0 <= check_order <= moment_order - 4 and
-3 <= hahn_n <= moment_order - 1 raise ValueError before any work; a theorem
-run given no hahn_n checks Hahn's property to min(10, moment_order - 1)."""
+"violated" (an exact identity failed; always reported as its tag, where,
+lhs and rhs). Orders outside moment_order >= 6 and
+0 <= check_order <= moment_order - 4 raise ValueError before any work; a
+theorem run checks Hahn's property to min(10, moment_order - 1)."""
 from __future__ import annotations
 
 from .diffop import DiffOperator
-from .errors import (ClosedFormMismatch, HypothesisViolated, IdentityViolated,
-                     NonInvertible, NotTwoOrthogonal, RepeatedEigenvalue)
+from .errors import (HypothesisViolated, IdentityViolated, NonInvertible,
+                     NotTwoOrthogonal, RepeatedEigenvalue)
 from .eigensolver import eigen_mps, verify_eigen
 from .hahn import (check_scope, classical_system_check, hahn_check,
                    intermediates, j_expansion_check, lemma_identities_check,
@@ -61,24 +61,16 @@ def _unmet(report, reason, witness=""):
     return InstanceResult(UNMET, report, failure)
 
 
-def _violated(report, exc):
-    if isinstance(exc, IdentityViolated):
-        failure = {"tag": exc.tag, "where": exc.where,
-                   "lhs": exc.lhs, "rhs": exc.rhs}
-    elif isinstance(exc, ClosedFormMismatch):
-        failure = {"tag": exc.entry, "built": exc.built, "closed": exc.closed}
-    else:
-        failure = {"tag": "internal", "detail": str(exc)}
-    return InstanceResult(VIOLATED, report, failure)
+def _violated(report, exc: IdentityViolated):
+    return InstanceResult(VIOLATED, report, {"tag": exc.tag, "where": exc.where,
+                                             "lhs": exc.lhs, "rhs": exc.rhs})
 
 
-def _check_orders(moment_order, check_order, hahn_n):
+def _check_orders(moment_order, check_order):
     if moment_order < 6:
         raise ValueError("moment_order must be >= 6")
     if not 0 <= check_order <= moment_order - 4:
         raise ValueError("check_order must lie in 0..moment_order - 4")
-    if hahn_n is not None and not 3 <= hahn_n <= moment_order - 1:
-        raise ValueError("hahn_n must lie in 3..moment_order - 1")
 
 
 def _closed_forms(report, tag, kind):
@@ -96,17 +88,16 @@ def _recurrence_checks(rc, P, duals, M, report):
     report.merge(orthogonality_check(P, duals[:2], m_max=2))
 
 
-def _drive(name, J, moment_order, check_order, hahn_n=None, hypotheses=None):
+def _drive(name, J, moment_order, check_order, hypotheses=None):
     """The one operator pipeline. `hypotheses(it, report)` is a theorem's
     stage: given the intermediates `it` of (J, rc), it returns the classical
     system or raises HypothesisViolated / IdentityViolated. Without it the
     run is the identity suite alone. `it` is built once, after the scope
     match, so an instance outside scope never pays for it. Every check
     raises at its first failure; a failed fit is hypotheses-unmet on the
-    eigen-MPS and a violated Hahn verdict on its derivative sequence."""
-    if hypotheses and hahn_n is None:
-        hahn_n = min(10, moment_order - 1)
-    _check_orders(moment_order, check_order, hahn_n)
+    eigen-MPS and a violated Hahn verdict on its derivative sequence, which
+    a theorem run checks to min(10, moment_order - 1)."""
+    _check_orders(moment_order, check_order)
     report = Report(name)
     try:
         try:
@@ -135,20 +126,21 @@ def _drive(name, J, moment_order, check_order, hahn_n=None, hypotheses=None):
         report.merge(lemma_identities_check(it, duals[:2], check_order))
         if not hypotheses:
             return InstanceResult(PASSED, report)
+        horizon = min(10, moment_order - 1)
         try:
-            hahn_check(P.polys[: hahn_n + 2])
+            hahn_check(P.polys[: horizon + 2])
         except NotTwoOrthogonal as exc:
-            raise IdentityViolated("Hahn", f"derivative sequence to n={hahn_n}",
+            raise IdentityViolated("Hahn", f"derivative sequence to n={horizon}",
                                    f"not 2-orthogonal: {(exc.index, exc.reason)}",
                                    "2-orthogonal")
-        report.add("Hahn", horizon=hahn_n)
+        report.add("Hahn", horizon=horizon)
         report.merge(classical_system_check(system, duals[:2], check_order))
     except HypothesisViolated as exc:
         return _unmet(report, exc.hypothesis, exc.witness)
-    except (IdentityViolated, ClosedFormMismatch) as exc:
+    except IdentityViolated as exc:
         return _violated(report, exc)
     return InstanceResult(PASSED, report,
-                          extras=_extras(J, rc, lam, system, hahn_n))
+                          extras=_extras(J, rc, lam, system, horizon))
 
 
 def _theorem4_hypotheses(it, report):
@@ -167,27 +159,26 @@ def _theorem4_hypotheses(it, report):
 
 
 def run_theorem4(J: DiffOperator, *, moment_order: int = 40,
-                 check_order: int = 24, hahn_n: int | None = None) -> InstanceResult:
+                 check_order: int = 24) -> InstanceResult:
     """Full verification of the a_2 = 0 classicality theorem on one operator."""
-    return _drive("theorem4", J, moment_order, check_order, hahn_n,
-                  _theorem4_hypotheses)
+    return _drive("theorem4", J, moment_order, check_order, _theorem4_hypotheses)
 
 
 def run_theorem5(J: DiffOperator, tau, *, moment_order: int = 40,
-                 check_order: int = 24, hahn_n: int | None = None) -> InstanceResult:
+                 check_order: int = 24) -> InstanceResult:
     """Full verification of the a_3 = tau a_2 classicality theorem."""
     def hypotheses(it, report):
         system = varpi_theorem5(it, tau)
         _closed_forms(report, "Table-1-varpi{}{}", "tabulated")
         return system
 
-    result = _drive("theorem5", J, moment_order, check_order, hahn_n, hypotheses)
+    result = _drive("theorem5", J, moment_order, check_order, hypotheses)
     if result.status == PASSED:
         result.extras["tau"] = rat_to_str(tau)
     return result
 
 
-def _extras(J, rc, lam, system, hahn_n) -> dict:
+def _extras(J, rc, lam, system, horizon) -> dict:
     return {
         "operator": operator_to_tree(J),
         "lambda": [rat_to_str(v) for v in lam[:8]],
@@ -198,7 +189,7 @@ def _extras(J, rc, lam, system, hahn_n) -> dict:
         },
         "phi": [[poly_to_list(p) for p in row] for row in system.phi],
         "psi": [[poly_to_list(p) for p in row] for row in system.psi],
-        "hahn": {"positive": True, "horizon": hahn_n},
+        "hahn": {"positive": True, "horizon": horizon},
     }
 
 
@@ -218,9 +209,9 @@ def run_identities_rc(rc: RecurrenceCoeffs, *, moment_order: int = 40,
     P = generate(rc, depth)
     refit = fit_2orth_recurrence(P)
     try:
-        if not refit.agrees_with(rc):
-            raise IdentityViolated("round-trip", "recurrence coefficients",
-                                   "fit(generate(rc))", "rc")
+        witness = refit.first_difference(rc)
+        if witness:
+            raise IdentityViolated("round-trip", *witness)
         report.add("round-trip", horizon=depth)
         _recurrence_checks(rc, P, dual_sequence(P, 5, depth - 1), M, report)
     except IdentityViolated as exc:
@@ -237,7 +228,7 @@ def run_identities_operator(J: DiffOperator, *, moment_order: int = 40,
 
 
 def run_sweep(target: str, seed: int, draws: int, *, moment_order: int = 40,
-              check_order: int = 24, hahn_n: int | None = None) -> dict:
+              check_order: int = 24) -> dict:
     """Repeat the selected verification over seeded random admissible
     parameter sets; any violated instance is dumped in full. Fewer than
     one draw raises ValueError."""
@@ -248,11 +239,11 @@ def run_sweep(target: str, seed: int, draws: int, *, moment_order: int = 40,
 
     def theorem4():
         draw = sampler.sample_theorem4(moment_order)
-        return draw, run_theorem4(draw["J"], hahn_n=hahn_n, **orders)
+        return draw, run_theorem4(draw["J"], **orders)
 
     def theorem5():
         draw = sampler.sample_theorem5(moment_order)
-        return draw, run_theorem5(draw["J"], draw["tau"], hahn_n=hahn_n, **orders)
+        return draw, run_theorem5(draw["J"], draw["tau"], **orders)
 
     def identities():
         return {}, run_identities_rc(sampler.recurrence(moment_order + 2), **orders)

@@ -74,14 +74,18 @@ class RecurrenceCoeffs:
     def __hash__(self):
         return hash((self.betas, self.alphas, self.gammas))
 
-    def agrees_with(self, other: "RecurrenceCoeffs") -> bool:
-        """Equality on the common stored prefix of each sequence."""
-        nb = min(len(self.betas), len(other.betas))
-        na = min(len(self.alphas), len(other.alphas))
-        ng = min(len(self.gammas), len(other.gammas))
-        return (self.betas[:nb] == other.betas[:nb]
-                and self.alphas[:na] == other.alphas[:na]
-                and self.gammas[:ng] == other.gammas[:ng])
+    def first_difference(self, other: "RecurrenceCoeffs"):
+        """The first coefficient on the common stored prefixes, betas then
+        alphas then gammas, where self and other differ, as
+        (name, self's value, other's value); None when they agree."""
+        for name, start, mine, theirs in (
+                ("beta", 0, self.betas, other.betas),
+                ("alpha", 1, self.alphas, other.alphas),
+                ("gamma", 1, self.gammas, other.gammas)):
+            for n, (a, b) in enumerate(zip(mine, theirs), start):
+                if a != b:
+                    return f"{name}_{n}", a, b
+        return None
 
     def __repr__(self):
         return (f"RecurrenceCoeffs(beta[0..{len(self.betas) - 1}], "

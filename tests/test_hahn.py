@@ -8,7 +8,7 @@ from duorth import (DiffOperator, Intermediates, Polynomial, Rational,
                     eigen_mps, fit_2orth_recurrence, generate, hahn_check,
                     implied_first_coeffs, intermediates, j_expansion_check,
                     lemma_identities_check, phi_theorem4, varpi_theorem5)
-from duorth.errors import (ClosedFormMismatch, HypothesisViolated,
+from duorth.errors import (HypothesisViolated, IdentityViolated,
                           NotTwoOrthogonal)
 from duorth.poly import ONE, Polynomial as P_, X
 from duorth.two_orth import MPSPrefix
@@ -119,7 +119,7 @@ class TestPhiTheorem4:
     def test_closed_forms_generic(self, sampler):
         for _ in range(3):
             J, rc = theorem4_generic_inputs(sampler)
-            # raises ClosedFormMismatch on any gap
+            # raises IdentityViolated at "closed form" on any gap
             system = phi_theorem4(intermediates(J, rc))
             assert system.phi[0][1][1] == J.coef(3, 3) * rc.gamma(1)
             assert system.phi[1][0][2] == 4 * J.coef(3, 3)
@@ -254,16 +254,25 @@ class TestClosedFormMismatchNames:
     def test_phi_entry(self, inst4):
         J, P, lam, rc, duals = inst4
         it = intermediates(J, rc)
-        with pytest.raises(ClosedFormMismatch) as err:
+        with pytest.raises(IdentityViolated) as err:
             phi_theorem4(_with(it, pbar1=it.pbar1 + ONE))
-        assert err.value.entry == "phi22"
+        assert err.value.tag == "phi22"
 
     def test_varpi_entry(self, inst5):
         J, P, lam, rc, duals = inst5
         it = intermediates(J, rc)
-        with pytest.raises(ClosedFormMismatch) as err:
+        with pytest.raises(IdentityViolated) as err:
             varpi_theorem5(_with(it, pbar0=it.pbar0 + ONE), 1 / J.coeff(2)[0])
-        assert err.value.entry == "Table-1-varpi21"
+        assert err.value.tag == "Table-1-varpi21"
+
+    def test_varpi_degree_guard(self, inst5):
+        # x^2 in fbar0 lifts varpi11 to degree 2 before any closed form
+        J, P, lam, rc, duals = inst5
+        it = intermediates(J, rc)
+        with pytest.raises(IdentityViolated) as err:
+            varpi_theorem5(_with(it, fbar0=it.fbar0 + X * X), 1 / J.coeff(2)[0])
+        assert (err.value.tag, err.value.where, err.value.rhs) == (
+            "varpi11", "degree", "degree <= 1")
 
 
 class TestClassicalSystemCheck:
@@ -310,7 +319,7 @@ class TestHahnCheck:
             q = Q[n]
             anti = [sampler.rat()] + [q[i] / (i + 1) for i in range(n + 1)]
             polys.append(Polynomial(anti) * (n + 1))
-        assert hahn_check(MPSPrefix(polys)).agrees_with(rc)
+        assert hahn_check(MPSPrefix(polys)).first_difference(rc) is None
 
     def test_monomials_negative(self):
         P = [Polynomial.monomial(n) for n in range(7)]

@@ -25,7 +25,7 @@ def family4(a0, c0, c1, a3_const=1):
 class TestTheorem4Pipeline:
     def test_qualifying_passes(self):
         res = run_theorem4(family4(R(2), R(-1), R(3)),
-                           moment_order=28, check_order=14, hahn_n=8)
+                           moment_order=28, check_order=14)
         assert res.status == PASSED
         tags = {item["tag"] for item in res.report.items}
         for tag in ("Eq-p1=0", "Eq-p0", "Eq-phi-1,1", "Eq-phi-2,2",
@@ -38,21 +38,21 @@ class TestTheorem4Pipeline:
         # a3 = 2 gives a 2-orthogonal eigen-MPS whose gamma_1 differs from
         # the value implied by a1
         res = run_theorem4(family4(R(2), R(-1), R(3), a3_const=2),
-                           moment_order=20, check_order=8, hahn_n=6)
+                           moment_order=20, check_order=8)
         assert res.status == UNMET
         assert "outside theorem scope" in res.failure["reason"]
 
     def test_generic_cubic_is_unmet(self):
         J = DiffOperator([Polynomial([2]), Polynomial([-1, 3]),
                           Polynomial.zero(), Polynomial([1, 1, 0, 1])])
-        res = run_theorem4(J, moment_order=20, check_order=8, hahn_n=6)
+        res = run_theorem4(J, moment_order=20, check_order=8)
         assert res.status == UNMET
         assert "not 2-orthogonal" in res.failure["reason"]
 
     def test_non_isomorphism_is_unmet(self):
         J = DiffOperator([Polynomial.zero(), Polynomial([0, 1]),
                           Polynomial.zero(), ONE])
-        res = run_theorem4(J, moment_order=20, check_order=8, hahn_n=6)
+        res = run_theorem4(J, moment_order=20, check_order=8)
         assert res.status == UNMET
 
 
@@ -61,7 +61,7 @@ class TestTheorem5Pipeline:
         s0 = R(3, 2)
         J = DiffOperator([Polynomial([5]), Polynomial([R(1, 2), -2]),
                           Polynomial([s0]), ONE])
-        res = run_theorem5(J, 1 / s0, moment_order=28, check_order=14, hahn_n=8)
+        res = run_theorem5(J, 1 / s0, moment_order=28, check_order=14)
         assert res.status == PASSED
         tags = {item["tag"] for item in res.report.items}
         assert {"Table-1-varpi11", "Table-1-varpi22", "Eq-EqClassic-2",
@@ -71,7 +71,7 @@ class TestTheorem5Pipeline:
         s0 = R(3, 2)
         J = DiffOperator([Polynomial([5]), Polynomial([R(1, 2), -2]),
                           Polynomial([s0]), Polynomial([7]) ])
-        res = run_theorem5(J, 7 / s0, moment_order=20, check_order=8, hahn_n=6)
+        res = run_theorem5(J, 7 / s0, moment_order=20, check_order=8)
         assert res.status == UNMET
 
 
@@ -152,10 +152,7 @@ class TestOrderValidation:
     @pytest.mark.parametrize("orders", [
         {"moment_order": 20, "check_order": 24},
         {"moment_order": 20, "check_order": 17},
-        {"moment_order": 5, "check_order": 1, "hahn_n": 3},
-        {"moment_order": 12, "check_order": 4, "hahn_n": 20},
-        {"moment_order": 12, "check_order": 4, "hahn_n": 12},
-        {"moment_order": 12, "check_order": 4, "hahn_n": 2},
+        {"moment_order": 5, "check_order": 1},
         {"moment_order": 20, "check_order": -1},
     ])
     def test_bad_orders_rejected_before_any_work(self, monkeypatch, orders):
@@ -172,12 +169,12 @@ class TestOrderValidation:
             run_identities_operator(README_J, moment_order=20, check_order=17)
 
     def test_smallest_valid_orders_pass(self):
-        res = run_theorem4(README_J, moment_order=6, check_order=2, hahn_n=5)
+        res = run_theorem4(README_J, moment_order=6, check_order=2)
         assert res.status == PASSED
         assert res.extras["hahn"]["horizon"] == 5
 
     def test_default_hahn_horizon_follows_moment_order(self):
-        # without hahn_n the Hahn horizon is min(10, moment_order - 1)
+        # the Hahn horizon is min(10, moment_order - 1)
         for moment_order, horizon in ((10, 9), (8, 7), (11, 10), (28, 10)):
             orders = {"moment_order": moment_order,
                       "check_order": moment_order - 4}
@@ -195,14 +192,14 @@ class TestOrderValidation:
                              check_order=6)
             assert tree["summary"][VIOLATED] == 0
 
-    @pytest.mark.parametrize("moment_order, check_order, hahn_n",
-                             [(6, c, h) for c in range(3) for h in range(3, 6)]
-                             + [(12, 8, 11), (40, 24, 10), (40, 36, 39)])
+    @pytest.mark.parametrize("moment_order, check_order, hahn_horizon",
+                             [(6, c, 5) for c in range(3)]
+                             + [(12, 8, 10), (40, 24, 10), (40, 36, 10)])
     def test_reported_horizons_within_computed(self, moment_order, check_order,
-                                               hahn_n):
+                                               hahn_horizon):
         orders = {"moment_order": moment_order, "check_order": check_order}
-        for res in (run_theorem4(README_J, hahn_n=hahn_n, **orders),
-                    run_theorem5(T5_J, T5_TAU, hahn_n=hahn_n, **orders),
+        for res in (run_theorem4(README_J, **orders),
+                    run_theorem5(T5_J, T5_TAU, **orders),
                     run_identities_operator(README_J, **orders)):
             assert res.status == PASSED
             for item in res.report.items:
@@ -214,18 +211,18 @@ class TestOrderValidation:
                 elif tag.startswith("orthogonality("):
                     assert horizon <= moment_order, tag
                 elif tag == "Hahn":
-                    assert horizon <= moment_order - 1, tag
+                    assert horizon == hahn_horizon <= moment_order - 1, tag
                 else:
                     assert horizon <= check_order, tag
 
     @pytest.mark.parametrize("orders, horizon", [
-        ((7, 2, 4), "k<=5, m<=7"),  # only P_0..P_7 exist
-        ((28, 14, 8), "k<=5, m<=8"),
+        ((7, 2), "k<=5, m<=7"),  # only P_0..P_7 exist
+        ((28, 14), "k<=5, m<=8"),
     ])
     def test_biorthogonality_horizon(self, orders, horizon):
-        moment_order, check_order, hahn_n = orders
+        moment_order, check_order = orders
         res = run_theorem4(README_J, moment_order=moment_order,
-                           check_order=check_order, hahn_n=hahn_n)
+                           check_order=check_order)
         assert res.status == PASSED
         horizons = {item["tag"]: item.get("horizon") for item in res.report.items}
         assert horizons["biorthogonality"] == horizon
@@ -249,54 +246,100 @@ def _perturbed_lambda(monkeypatch):
     monkeypatch.setattr(pipelines, "eigen_mps", eigen_mps)
 
 
-def _perturbed_beta2(monkeypatch):
+def _bumped_fit(monkeypatch, field, i):
+    """Add 1 to entry i of the `field` tuple (betas, alphas or gammas) of
+    the recurrence pipelines.fit_2orth_recurrence returns."""
     fit = pipelines.fit_2orth_recurrence
 
     def fit_2orth_recurrence(P):
         rc = fit(P)
-        betas = rc.betas[:2] + (rc.betas[2] + 1,) + rc.betas[3:]
-        return RecurrenceCoeffs(betas, rc.alphas, rc.gammas)
+        seqs = {name: getattr(rc, name) for name in ("betas", "alphas", "gammas")}
+        seqs[field] = seqs[field][:i] + (seqs[field][i] + 1,) + seqs[field][i + 1:]
+        return RecurrenceCoeffs(**seqs)
     monkeypatch.setattr(pipelines, "fit_2orth_recurrence", fit_2orth_recurrence)
 
 
-def _perturbed_entry11(monkeypatch, builder):
-    """Add ONE to the (1,1) entry of the system pipelines.<builder> returns."""
+def _perturbed_beta2(monkeypatch):
+    _bumped_fit(monkeypatch, "betas", 2)
+
+
+def _perturbed_alpha1(monkeypatch):
+    _bumped_fit(monkeypatch, "alphas", 0)
+
+
+def _bumped_intermediate(monkeypatch, field):
+    """Add ONE to the polynomial `field` of the intermediates that
+    pipelines.intermediates builds."""
+    build = pipelines.intermediates
+
+    def intermediates(J, rc):
+        it = build(J, rc)
+        setattr(it, field, getattr(it, field) + ONE)
+        return it
+    monkeypatch.setattr(pipelines, "intermediates", intermediates)
+
+
+def _perturbed_p0(monkeypatch):
+    _bumped_intermediate(monkeypatch, "p0")
+
+
+def _perturbed_pbar1(monkeypatch):
+    _bumped_intermediate(monkeypatch, "pbar1")
+
+
+def _perturbed_entry(monkeypatch, builder, i, j):
+    """Add ONE to the entry (i, j), counted from 1, of Phi in the system
+    pipelines.<builder> returns."""
     build = getattr(pipelines, builder)
 
     def perturbed(*args):
         system = build(*args)
-        (e11, e12), row2 = system.phi
-        return ClassicalSystem(((e11 + ONE, e12), row2), system.psi)
+        phi = [list(row) for row in system.phi]
+        phi[i - 1][j - 1] += ONE
+        return ClassicalSystem(phi, system.psi)
     monkeypatch.setattr(pipelines, builder, perturbed)
 
 
 def _perturbed_phi11(monkeypatch):
-    _perturbed_entry11(monkeypatch, "phi_theorem4")
+    _perturbed_entry(monkeypatch, "phi_theorem4", 1, 1)
+
+
+def _perturbed_phi21(monkeypatch):
+    _perturbed_entry(monkeypatch, "phi_theorem4", 2, 1)
 
 
 def _perturbed_varpi11(monkeypatch):
-    _perturbed_entry11(monkeypatch, "varpi_theorem5")
+    _perturbed_entry(monkeypatch, "varpi_theorem5", 1, 1)
+
+
+def _failure(tag, where, lhs, rhs):
+    return {"tag": tag, "where": where, "lhs": lhs, "rhs": rhs}
 
 
 class TestNegativeControls:
     """A corrupted stage output must end in `violated` with the tag of the
     first identity it breaks."""
 
-    @pytest.mark.parametrize("corrupt, tag", [
-        (_perturbed_lambda, "eigen-relation"),
-        (_perturbed_beta2, "dual-recurrence(n=2)"),
-        (_perturbed_phi11, "Eq-EqClassic-1"),
-    ])
-    def test_theorem4_corruption_is_violated(self, monkeypatch, corrupt, tag):
+    @pytest.mark.parametrize("corrupt, failure", [
+        (_perturbed_lambda, _failure("eigen-relation", "n=3",
+                                     "22/27 + (11/3)x + (-11)x^2 + 11x^3",
+                                     "8/9 + 4x + (-12)x^2 + 12x^3")),
+        (_perturbed_beta2, _failure("dual-recurrence(n=2)", "moment 2", "1", "2")),
+        (_perturbed_phi11, _failure("Eq-EqClassic-1", "moment 1", "-1", "0")),
+        (_perturbed_alpha1, _failure("Eq-p1=0", "alpha_1", "1", "0")),
+        (_perturbed_p0, _failure("Eq-p0", "polynomial", "3 + (-6)x", "2 + (-6)x")),
+        (_perturbed_phi21, _failure("Eq-EqClassic-2", "moment 1", "-1", "0")),
+        (_perturbed_pbar1, _failure("phi22", "closed form", "2", "1")),
+    ], ids=lambda v: v["tag"] if isinstance(v, dict) else None)
+    def test_theorem4_corruption_is_violated(self, monkeypatch, corrupt, failure):
         corrupt(monkeypatch)
-        res = run_theorem4(README_J, moment_order=28, check_order=14, hahn_n=8)
+        res = run_theorem4(README_J, moment_order=28, check_order=14)
         assert res.status == VIOLATED
-        assert res.failure["tag"] == tag
+        assert res.failure == failure
 
     def test_theorem5_varpi11_corruption_is_violated(self, monkeypatch):
         _perturbed_varpi11(monkeypatch)
-        res = run_theorem5(T5_J, T5_TAU, moment_order=28, check_order=14,
-                           hahn_n=8)
+        res = run_theorem5(T5_J, T5_TAU, moment_order=28, check_order=14)
         assert res.status == VIOLATED
         assert res.failure["tag"] == "Eq-EqClassic-1"
 
@@ -321,8 +364,8 @@ class TestNegativeControls:
         res = run_identities_rc(sampler.recurrence(22), moment_order=20,
                                 check_order=8)
         assert res.status == VIOLATED
-        assert res.failure["tag"] == "round-trip"
-        res = run_theorem4(README_J, moment_order=28, check_order=14, hahn_n=8)
+        assert res.failure == _failure("round-trip", "gamma_11", "7/20", "-13/20")
+        res = run_theorem4(README_J, moment_order=28, check_order=14)
         assert res.status == VIOLATED
         assert res.failure["tag"] == "biorthogonality"
 
@@ -334,7 +377,7 @@ class TestNegativeControls:
         def hahn_check(P):
             return check(P[:4] + (P[4] + X,) + P[5:])
         monkeypatch.setattr(pipelines, "hahn_check", hahn_check)
-        res = run_theorem4(README_J, moment_order=28, check_order=14, hahn_n=8)
+        res = run_theorem4(README_J, moment_order=28, check_order=14)
         assert res.status == VIOLATED
         assert res.failure["tag"] == "Hahn"
         assert res.failure["lhs"] == "not 2-orthogonal: (4, 'chi_{4,0} = 5/18 != 0')"
@@ -476,10 +519,10 @@ class TestOneExpansionPerSequence:
 
     def test_theorem4(self, counts):
         # the eigen-MPS P_0..P_28 has 28 rows; the Hahn test fits the
-        # derivative MPS of P_0..P_9, Q_0..Q_8, with 8 rows
-        res = run_theorem4(README_J, moment_order=28, check_order=14, hahn_n=8)
+        # derivative MPS of P_0..P_11, Q_0..Q_10, with 10 rows
+        res = run_theorem4(README_J, moment_order=28, check_order=14)
         assert res.status == PASSED
-        assert counts == ([(29, k) for k in range(28)] + [(9, k) for k in range(8)], [])
+        assert counts == ([(29, k) for k in range(28)] + [(11, k) for k in range(10)], [])
 
     def test_generic_cubic_stops_at_row_4(self, counts):
         # the row of x P_4 has a nonzero entry at P_1 (witness index 3):
@@ -496,19 +539,19 @@ class TestOneIntermediatesPerVerdict:
     2-orthogonal never builds them."""
 
     @pytest.mark.parametrize("run, status, builds", [
-        (lambda: run_theorem4(README_J, moment_order=28, check_order=14,
-                              hahn_n=8), PASSED, 1),
-        (lambda: run_theorem5(T5_J, T5_TAU, moment_order=28, check_order=14,
-                              hahn_n=8), PASSED, 1),
+        (lambda: run_theorem4(README_J, moment_order=28, check_order=14),
+         PASSED, 1),
+        (lambda: run_theorem5(T5_J, T5_TAU, moment_order=28, check_order=14),
+         PASSED, 1),
         (lambda: run_identities_operator(README_J, moment_order=24,
                                          check_order=12), PASSED, 1),
         (lambda: run_theorem4(family4(R(2), R(-1), R(3), a3_const=2),
-                              moment_order=20, check_order=8, hahn_n=6),
+                              moment_order=20, check_order=8),
          UNMET, 0),
         (lambda: run_theorem4(DiffOperator([Polynomial([2]), Polynomial([-1, 3]),
                                             Polynomial.zero(),
                                             Polynomial([1, 1, 0, 1])]),
-                              moment_order=20, check_order=8, hahn_n=6),
+                              moment_order=20, check_order=8),
          UNMET, 0),
     ], ids=["theorem4", "theorem5", "identities-operator", "outside-scope",
             "not-2-orthogonal"])
