@@ -153,6 +153,9 @@ class TestOrderValidation:
         {"moment_order": 20, "check_order": 24},
         {"moment_order": 20, "check_order": 17},
         {"moment_order": 5, "check_order": 1},
+        {"moment_order": 6, "check_order": 3},
+        {"moment_order": 12, "check_order": 9},
+        {"moment_order": 0, "check_order": 0},
         {"moment_order": 20, "check_order": -1},
     ])
     def test_bad_orders_rejected_before_any_work(self, monkeypatch, orders):
