@@ -5,13 +5,26 @@ deg a_nu <= nu, acting on polynomials as sum_nu a_nu(x) p^(nu)(x) / nu!.
 The same coefficient list drives the action on polynomials, the shifted
 operators, the transpose action on moment forms, and the lowering-order
 classification with its lambda scalars.
+
+integer_form() gives the coefficients as integer numerators over their
+common denominator den, and both actions are one integer pass over den
+with one reduction per result, through binomial weights instead of
+derivative chains:
+  * p^(nu)/nu! has the integer coefficient C(k, nu) p_k at x^(k-nu), so
+    J(p) = sum_nu a_nu * (sum_k C(k, nu) p_k x^(k-nu));
+  * ((-1)^nu/nu!) D^nu w has the moments C(m, nu) (w)_(m-nu), so
+    (J^T u)_m = sum_nu C(m, nu) (a_nu u)_(m-nu).
 """
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, lcm
 from typing import Sequence
 
+# the coefficient products run as poly.pmul and forms.mleft, the module
+# globals that perfbench's tracer wraps to count kernel work
+from . import forms, poly
 from .backend import Rat as Rational
+from .backend import pnorm
 from .errors import OrderExceeded, ZeroLambda
 from .forms import MomentForm
 from .poly import Polynomial
@@ -27,7 +40,7 @@ class DiffOperator:
     flagged and rejected by classify_order.
     """
 
-    __slots__ = ("a", "shifted_form")
+    __slots__ = ("a", "shifted_form", "_integer")
 
     def __init__(self, coefficients: Sequence[Polynomial], *, _shifted: bool = False):
         coeffs = list(coefficients)
@@ -40,6 +53,7 @@ class DiffOperator:
                         f"normal form violated: deg a_{nu} = {a_nu.degree} > {nu}")
         object.__setattr__(self, "a", tuple(coeffs))
         object.__setattr__(self, "shifted_form", _shifted)
+        object.__setattr__(self, "_integer", None)
 
     @property
     def order(self) -> int:
@@ -53,6 +67,19 @@ class DiffOperator:
     def coef(self, i: int, nu: int) -> Rational:
         """a_i^[nu], the coefficient of x^i in a_nu(x)."""
         return self.coeff(nu)[i]
+
+    def integer_form(self) -> tuple:
+        """(nums, den): nums[nu] holds the integer coefficients of a_nu over
+        den, the common denominator of all a_nu. Built on first use, so an
+        operator that is only drawn or compared never pays for it."""
+        if self._integer is None:
+            dens = [p.den for p in self.a]
+            den = lcm(*dens)
+            nums = tuple([p.nums if d == den
+                          else tuple([c * (den // d) for c in p.nums])
+                          for p, d in zip(self.a, dens)])
+            object.__setattr__(self, "_integer", (nums, den))
+        return self._integer
 
     def max_coeff_degree(self) -> int:
         degs = [p.degree for p in self.a if not p.is_zero()]
@@ -71,17 +98,24 @@ class DiffOperator:
         return f"DiffOperator({inner})"
 
     def apply(self, p: Polynomial) -> Polynomial:
-        """J(p) = sum_nu a_nu(x) p^(nu)(x) / nu!; never raises the degree."""
-        out = Polynomial.zero()
-        d = p
-        for nu, a_nu in enumerate(self.a):
-            if nu > 0:
-                d = d.derivative()
-            if d.is_zero():
-                break
-            if not a_nu.is_zero():
-                out = out + (a_nu * d) / factorial(nu)
-        return out
+        """J(p) = sum_nu a_nu(x) p^(nu)(x) / nu!; never raises the degree.
+
+        p^(nu)/nu! = sum_k C(k, nu) p_k x^(k-nu) has integer coefficients
+        over p's denominator, so the image is the integer sum of one
+        poly.pmul per nonzero a_nu with nu <= deg p, over den * p.den,
+        reduced once."""
+        nums, den = self.integer_form()
+        terms = []
+        for nu, a_nu in enumerate(nums[: len(p.nums)]):
+            if a_nu:
+                d = p.nums if nu == 0 else [
+                    comb(k, nu) * c for k, c in enumerate(p.nums[nu:], nu)]
+                terms.append(poly.pmul(a_nu, d))
+        acc = [0] * max(map(len, terms), default=0)
+        for t in terms:
+            for i, c in enumerate(t):
+                acc[i] += c
+        return Polynomial.from_pair(pnorm(acc), den * p.den)
 
     def shifted(self, m: int) -> "DiffOperator":
         """The operator with coefficient list a_{n+m}; transposing it gives
@@ -93,26 +127,27 @@ class DiffOperator:
         return DiffOperator(self.a[m:], _shifted=True)
 
     def transpose_apply(self, u: MomentForm) -> MomentForm:
-        """The transposed action sum_n ((-1)^n / n!) D^n(a_n u).
+        """The transposed action sum_nu ((-1)^nu / nu!) D^nu(a_nu u).
 
-        The result is reliable to u.order - max coefficient degree.
+        Since (D w)_m = -m (w)_(m-1), the term of a_nu has the moments
+        C(m, nu) (a_nu u)_(m-nu): the result is one forms.mleft per nonzero
+        a_nu, summed with binomial weights over den * u.den and reduced
+        once. It is reliable to u.order - max coefficient degree.
         """
-        need = max(self.order, 0) + self.max_coeff_degree()
+        top = self.max_coeff_degree()
+        need = max(self.order, 0) + top
         if u.order < need:
             raise OrderExceeded(
                 f"transpose needs order >= {need}, form has {u.order}")
-        out = None
-        for n, a_n in enumerate(self.a):
-            if a_n.is_zero():
+        nums, den = self.integer_form()
+        acc = [0] * (u.order - top + 1)
+        for nu, a_nu in enumerate(nums):
+            if not a_nu:
                 continue
-            term = u.left_mul(a_n)
-            for _ in range(n):
-                term = term.derivative()
-            term = term * Rational((-1) ** n, factorial(n))
-            out = term if out is None else out + term
-        if out is None:
-            return MomentForm.zero(u.order)
-        return out
+            w = forms.mleft(a_nu, u.nums)
+            for m in range(nu, len(acc)):
+                acc[m] += comb(m, nu) * w[m - nu]
+        return MomentForm.from_pair(tuple(acc), den * u.den)
 
     def lambda_seq(self, k: int, count: int) -> list:
         """[lambda_{n+k}^[k] for n = 0..count], the order-k normalization

@@ -9,7 +9,7 @@ triangular back-substitution: O(r N^2) steps for degrees up to N.
 """
 from __future__ import annotations
 
-from math import comb, lcm
+from math import comb
 
 from .backend import Rat as Rational
 from .diffop import DiffOperator
@@ -23,42 +23,49 @@ __all__ = ["OperatorMatrix", "operator_matrix", "eigen_mps", "verify_eigen"]
 class OperatorMatrix:
     """Entries M[tau][n] = coefficient of x^tau in J(x^n), 0 <= tau <= n <= n_max.
     Only the band n - order <= tau <= n is stored, column n as
-    band[n][n - tau]; every other entry is zero."""
+    band[n][n - tau], in integers over J's common denominator den:
+    M[tau][n] = band[n][n - tau] / den, and every other entry is zero.
+    entry() and diagonal() give the Rationals."""
 
-    __slots__ = ("n_max", "band")
+    __slots__ = ("n_max", "band", "den")
 
-    def __init__(self, n_max: int, band):
+    def __init__(self, n_max: int, band, den: int):
         self.n_max = n_max
         self.band = band
+        self.den = den
 
     def entry(self, tau: int, n: int) -> Rational:
         col = self.band[n]
-        return col[n - tau] if 0 <= n - tau < len(col) else Rational(0)
+        return Rational(col[n - tau] if 0 <= n - tau < len(col) else 0, self.den)
 
     def diagonal(self) -> list:
-        return [col[0] for col in self.band]
+        return [Rational(col[0], self.den) for col in self.band]
 
 
 def operator_matrix(J: DiffOperator, n_max: int) -> OperatorMatrix:
     """Build the matrix from the closed monomial-image expansion
     M[tau][n] = sum_{nu<=tau} C(n, nu) a_{tau-nu}^[n-nu]  (tau <= n),
-    independently of DiffOperator.apply. A term needs n - nu <= J.order,
-    so only the band n - J.order <= tau <= n can be nonzero."""
+    which expands J one monomial x^n at a time, where DiffOperator.apply
+    is a convolution over a whole polynomial. A term needs
+    n - nu <= J.order, so only the band n - J.order <= tau <= n can be
+    nonzero. The sums run on J's integer form."""
     if J.shifted_form:
         raise ValueError("operator_matrix requires a normal-form operator")
+    (a, den), order = J.integer_form(), max(J.order, 0)
     band = []
     for n in range(n_max + 1):
-        low = max(0, n - max(J.order, 0))
+        low = max(0, n - order)
         col = []
         for tau in range(n, low - 1, -1):
-            acc = Rational(0)
+            acc = 0
             for nu in range(low, tau + 1):
-                c = J.coef(tau - nu, n - nu)
-                if c != 0:
-                    acc = acc + comb(n, nu) * c
+                # the coefficient of x^(tau-nu) in a_(n-nu)
+                coeffs = a[n - nu] if n - nu < len(a) else ()
+                if tau - nu < len(coeffs) and coeffs[tau - nu]:
+                    acc += comb(n, nu) * coeffs[tau - nu]
             col.append(acc)
         band.append(col)
-    return OperatorMatrix(n_max, band)
+    return OperatorMatrix(n_max, band, den)
 
 
 def eigen_mps(J: DiffOperator, n_max: int):
@@ -71,34 +78,34 @@ def eigen_mps(J: DiffOperator, n_max: int):
 
     The back-substitution c_tau = sum_m M[tau][m] c_m / (lambda_n - lambda_tau)
     reads only the band (m <= tau + J.order) and is fraction-free, as in
-    Bareiss's elimination: over the band's common denominator every entry
-    is an integer, x_tau = c_tau prod_{tau<=s<n} (lambda_n - lambda_s) is an
-    integer combination of x_{tau+1..tau+order}, and P_n is reduced once
-    over the denominator prod_{s<n} (lambda_n - lambda_s).
+    Bareiss's elimination: the band is integer over its common denominator,
+    x_tau = c_tau prod_{tau<=s<n} (lambda_n - lambda_s) is an integer
+    combination of x_{tau+1..tau+order}, and P_n is reduced once over the
+    denominator prod_{s<n} (lambda_n - lambda_s). The lambda checks compare
+    the band's integer diagonal.
     """
     M = operator_matrix(J, n_max)
-    lam = M.diagonal()
+    band, order = M.band, J.order
     first = {}
-    for n, v in enumerate(lam):
+    for n, col in enumerate(band):
+        v = col[0]
         if v == 0:
             raise NonInvertible(n)
         if v in first:
             raise RepeatedEigenvalue(n, first[v])
         first[v] = n
-    den = lcm(*(e.denominator for col in M.band for e in col))
-    band = [[e.numerator * (den // e.denominator) for e in col] for col in M.band]
     polys = []
     for n in range(n_max + 1):
         diff = [band[n][0] - band[s][0] for s in range(n)]
         x = [0] * n + [1]
         for tau in range(n - 1, -1, -1):
             acc, f = 0, 1
-            for m in range(tau + 1, min(n, tau + J.order) + 1):
+            for m in range(tau + 1, min(n, tau + order) + 1):
                 if m > tau + 1:
                     f *= diff[m - 1]
                 e = band[m][m - tau]
                 if e and x[m]:
-                    acc += e * x[m] * f
+                    acc += e * f * x[m]
             x[tau] = acc
         nums, prod = [], 1
         for tau in range(n):
@@ -106,7 +113,7 @@ def eigen_mps(J: DiffOperator, n_max: int):
             prod *= diff[tau]
         nums.append(prod)
         polys.append(Polynomial.from_pair(tuple(nums), prod))
-    return MPSPrefix(polys), lam
+    return MPSPrefix(polys), M.diagonal()
 
 
 def verify_eigen(J: DiffOperator, P, lambdas) -> None:

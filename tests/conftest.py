@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from duorth import ParamSampler, Polynomial, Rational, two_orth
+from duorth import DiffOperator, ParamSampler, Polynomial, Rational, two_orth
 
 
 def rationals(max_num: int = 30, max_den: int = 12):
@@ -14,6 +14,14 @@ def rationals(max_num: int = 30, max_den: int = 12):
 
 def polynomials(max_degree: int = 8):
     return st.lists(rationals(), min_size=0, max_size=max_degree + 1).map(Polynomial)
+
+
+@st.composite
+def operators(draw, max_order: int = 5):
+    """Normal-form DiffOperator([a_0, .., a_r]) with deg a_nu <= nu and
+    r <= max_order; r = -1 gives the zero operator."""
+    r = draw(st.integers(min_value=-1, max_value=max_order))
+    return DiffOperator([draw(polynomials(nu)) for nu in range(r + 1)])
 
 
 @pytest.fixture

@@ -1,9 +1,14 @@
 """Operator action, shifted operators, transpose duality, Leibniz rules,
 lowering-order classification, lambda scalars, image sequences."""
-import pytest
+from math import factorial
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import operators, polynomials, rationals
 from duorth import (DiffOperator, MomentForm, Polynomial, Rational,
-                    dual_sequence, eigen_mps)
+                    dual_sequence, eigen_mps, forms, poly)
 from duorth.errors import OrderExceeded
 from duorth.forms import require_equal
 from duorth.poly import ONE, X
@@ -29,6 +34,82 @@ def rand_iso(sampler, max_order=3):
         lams = J.lambda_seq(0, 14)
         if all(v != 0 for v in lams):
             return J
+
+
+def chain_apply(J, p):
+    """Reference J(p) by the derivative chain: a_nu p^(nu) / nu!, added
+    term by term."""
+    out = Polynomial.zero()
+    d = p
+    for nu, a_nu in enumerate(J.a):
+        if nu > 0:
+            d = d.derivative()
+        if d.is_zero():
+            break
+        if not a_nu.is_zero():
+            out = out + (a_nu * d) / factorial(nu)
+    return out
+
+
+def chain_transpose_apply(J, u):
+    """Reference transpose by the derivative chain: ((-1)^n / n!) D^n(a_n u),
+    added term by term (each sum clamps to the shallower order)."""
+    out = None
+    for n, a_n in enumerate(J.a):
+        if a_n.is_zero():
+            continue
+        term = u.left_mul(a_n)
+        for _ in range(n):
+            term = term.derivative()
+        term = term * R((-1) ** n, factorial(n))
+        out = term if out is None else out + term
+    return MomentForm.zero(u.order) if out is None else out
+
+
+class TestBinomialActions:
+    """apply and transpose_apply against the derivative-chain references,
+    on normal-form operators, their shifts (whose degree may rise) and the
+    zero operator."""
+
+    @given(operators(), st.integers(min_value=0, max_value=3),
+           polynomials(9), st.lists(rationals(), min_size=24, max_size=24),
+           st.integers(min_value=0, max_value=6))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_derivative_chain(self, J, m, p, moments, extra):
+        J = J.shifted(m)
+        assert J.apply(p) == chain_apply(J, p)
+        need = max(J.order, 0) + J.max_coeff_degree()
+        for order in (need, need + extra):
+            u = MomentForm(moments[: order + 1])
+            got = J.transpose_apply(u)
+            assert got == chain_transpose_apply(J, u)
+            assert got.order == u.order - J.max_coeff_degree()
+
+    def test_kernel_seam(self, monkeypatch, sampler):
+        """One poly.pmul per nonzero a_nu with nu <= deg p and one
+        forms.mleft per nonzero a_nu, through the module globals that
+        perfbench's tracer wraps."""
+        calls = {"pmul": 0, "mleft": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, wrapper)
+        counted(poly, "pmul")
+        counted(forms, "mleft")
+        for _ in range(10):
+            J = sampler.operator(5).shifted(sampler.rng.randint(0, 2))
+            p = sampler.poly(sampler.rng.randint(0, 4))
+            u = MomentForm([sampler.rat() for _ in range(20)])
+            calls.update(pmul=0, mleft=0)
+            J.apply(p)
+            assert calls["pmul"] == sum(1 for nu, a in enumerate(J.a)
+                                        if nu <= p.degree and not a.is_zero())
+            J.transpose_apply(u)
+            assert calls["mleft"] == sum(1 for a in J.a if not a.is_zero())
 
 
 class TestApply:
@@ -189,7 +270,6 @@ class TestJImage:
 class TestLeibniz:
     def test_product_of_polynomials(self, sampler):
         # J(fg) = sum_n J^(n)(f) g^(n)/n!, and with f, g exchanged
-        from math import factorial
         for _ in range(20):
             J = sampler.operator(3)
             f, g = sampler.poly(4), sampler.poly(3)
@@ -218,7 +298,6 @@ class TestLeibniz:
             sign = -1
             for n in range(1, 4):
                 term = J.shifted(n).transpose_apply(u).left_mul(f.derivative(n))
-                from math import factorial
                 rhs = rhs + sign * R(1, factorial(n)) * term
                 sign = -sign
             require_equal(lhs, rhs, min(lhs.order, rhs.order), "Leibniz")

@@ -5,8 +5,8 @@ import json
 import pytest
 
 import duorth.pipelines as pipelines
-from duorth import (DiffOperator, ParamSampler, Polynomial, Rational,
-                    RecurrenceCoeffs, run_identities_rc,
+from duorth import (DiffOperator, MomentForm, ParamSampler, Polynomial,
+                    Rational, RecurrenceCoeffs, run_identities_rc,
                     run_identities_operator, run_sweep, run_theorem4,
                     run_theorem5, hahn, two_orth)
 from duorth.cli import main
@@ -315,6 +315,20 @@ def _perturbed_varpi11(monkeypatch):
     _perturbed_entry(monkeypatch, "varpi_theorem5", 1, 1)
 
 
+def _bumped_dual_moment(monkeypatch, nu, k, delta):
+    """Add delta(u_nu, P) to moment k of u_nu in the duals that _drive
+    receives from pipelines.dual_sequence, after their certification."""
+    certified = pipelines.dual_sequence
+
+    def dual_sequence(P, k_max, N):
+        duals = certified(P, k_max, N)
+        moments = list(duals[nu].moments)
+        moments[k] += delta(duals[nu], P)
+        duals[nu] = MomentForm(moments)
+        return duals
+    monkeypatch.setattr(pipelines, "dual_sequence", dual_sequence)
+
+
 def _failure(tag, where, lhs, rhs):
     return {"tag": tag, "where": where, "lhs": lhs, "rhs": rhs}
 
@@ -337,6 +351,36 @@ class TestNegativeControls:
     def test_theorem4_corruption_is_violated(self, monkeypatch, corrupt, failure):
         corrupt(monkeypatch)
         res = run_theorem4(README_J, moment_order=28, check_order=14)
+        assert res.status == VIOLATED
+        assert res.failure == failure
+
+    def test_orthogonality_sees_top_moment(self, monkeypatch):
+        # the dual identities read u_0 to moment check_order + 2 at most
+        # (E_2 u_0 in Eq-u4); the top moment, 28, only the orthogonality
+        # rows read, and <u_0, P_28> becomes 1
+        _bumped_dual_moment(monkeypatch, 0, 28, lambda u, P: 1)
+        res = run_theorem4(README_J, moment_order=28, check_order=14)
+        assert res.status == VIOLATED
+        assert res.failure == _failure("orthogonality(nu=0,m=0)",
+                                       "<u_0, P_0 P_28>", "1", "0")
+
+    @pytest.mark.parametrize("nu, k, failure", [
+        (0, 0, _failure("dual-recurrence(n=0)", "moment 0", "1/3", "0")),
+        (1, 0, _failure("dual-recurrence(n=1)", "moment 0", "1", "2")),
+        (1, 1, _failure("dual-recurrence(n=1)", "moment 0", "0", "1")),
+    ])
+    def test_regularity_is_reached_first_by_no_moment(self, monkeypatch,
+                                                      nu, k, failure):
+        # regularity(nu, m >= 1) cannot fire first: once row (nu, 0) passes,
+        # the form is c != 0 times the certified u_nu (plus d u_0 for
+        # nu = 1) on every moment to its order, so <u_nu, P_m P_{2m+nu}> is
+        # c times its nonzero certified value. regularity(nu, 0) reads
+        # (u_0)_0, or (u_1)_0 and (u_1)_1, which the dual recurrence
+        # compares at moment 0 for every check_order: moving one of them to
+        # zero <u_nu, P_nu> is named there
+        _bumped_dual_moment(monkeypatch, nu, k,
+                            lambda u, P: -u.act(P[nu]) / P[nu][k])
+        res = run_theorem4(README_J, moment_order=28, check_order=0)
         assert res.status == VIOLATED
         assert res.failure == failure
 

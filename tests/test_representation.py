@@ -14,7 +14,7 @@ from duorth.backend import kernel
 from duorth.forms import combine
 from duorth.serialize import form_to_list, poly_to_list
 
-from conftest import polynomials, rationals
+from conftest import operators, polynomials, rationals
 
 R = Rational
 
@@ -173,10 +173,22 @@ def test_kernel_agrees_on_int_and_rational_tuples(a, b, s):
 
 
 def test_operator_matrix_stores_its_band(sampler):
+    """The band is integers over J's common denominator M.den."""
     for order in (3, 4):
         J = sampler.operator(order)
         M = operator_matrix(J, 30)
+        assert M.den == J.integer_form()[1]
+        assert all(type(e) is int for col in M.band for e in col)
         assert [len(col) for col in M.band] == [min(n, order) + 1 for n in range(31)]
-        assert M.entry(0, 30) == 0 and M.entry(30 - order, 30) == M.band[30][order]
+        assert M.entry(0, 30) == 0
+        assert M.entry(30 - order, 30) == R(M.band[30][order], M.den)
     M = operator_matrix(DiffOperator([]), 3)
     assert M.diagonal() == [0] * 4
+
+
+@given(operators(), st.integers(min_value=0, max_value=12))
+@settings(max_examples=60, deadline=None)
+def test_operator_matrix_diagonal_is_lambda_seq(J, n):
+    """Two independent paths to lambda: the band's diagonal and the
+    normalization scalars of lambda_seq."""
+    assert operator_matrix(J, n).diagonal() == J.lambda_seq(0, n)

@@ -323,6 +323,16 @@ class TestOrthogonality:
         assert [item["tag"] for item in report.items] == [
             f"orthogonality(nu={nu},m={m})" for nu in (0, 1) for m in (0, 1, 2)]
 
+    def test_regularity_violation_detected(self, sampler):
+        # (u_1)_0 = 0, so (u_1)_1 = 0 gives <u_1, P_1> = 0
+        P = generate(sampler.recurrence(16), 16)
+        u0, u1 = dual_sequence(P, 1, 15)
+        bad = MomentForm([0, 0] + list(u1.moments[2:]))
+        with pytest.raises(IdentityViolated) as err:
+            orthogonality_check(P, [u0, bad], m_max=2)
+        assert (err.value.tag, err.value.where) == (
+            "regularity(nu=1,m=0)", "<u_1, P_0 P_1>")
+
     def test_specific_products(self, sampler):
         rc = sampler.recurrence(16)
         P = generate(rc, 16)
