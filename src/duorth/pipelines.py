@@ -12,20 +12,33 @@ Hahn's property and the classical system. Outcomes are three-valued:
 "violated" (an exact identity failed; always reported as its tag, where,
 lhs and rhs). Orders outside moment_order >= 6 and
 0 <= check_order <= moment_order - 4 raise ValueError before any work; a
-theorem run checks Hahn's property to min(10, moment_order - 1)."""
+theorem run checks Hahn's property to min(10, moment_order - 1).
+
+The duals' biorthogonality is certified in two ways. An operator run
+certifies it to moment_order by the eigen transport: the eigen relation
+to moment_order - t (t the largest coefficient degree of J), one
+transpose per dual, and direct pairings only for m = k and the top t
+values of m (eigensolver.transport_certificate). That also certifies the
+eigen relation to check_order, and Eq-J(u_n) reuses the transposes. If
+any of these steps fails, the run repeats the earlier sequence exactly:
+every pairing to moment_order, then verify_eigen to check_order. Those
+checks name the first failing pair or n, so a violated report has the
+same bytes as with pairing alone. run_identities_rc has no operator and
+always certifies by pairing. It needs moment_order >= 8."""
 from __future__ import annotations
 
 from .diffop import DiffOperator
 from .errors import (HypothesisViolated, IdentityViolated, NonInvertible,
                      NotTwoOrthogonal, RepeatedEigenvalue)
-from .eigensolver import eigen_mps, verify_eigen
+from .eigensolver import eigen_mps, transport_certificate, verify_eigen
 from .hahn import (check_scope, classical_system_check, hahn_check,
                    intermediates, j_expansion_check, lemma_identities_check,
                    phi_theorem4, varpi_theorem5)
 from .reporting import Report
 from .sampling import ParamSampler
 from .serialize import operator_to_tree, poly_to_list, rat_to_str
-from .two_orth import (RecurrenceCoeffs, check_dual_identities, dual_sequence,
+from .two_orth import (RecurrenceCoeffs, check_biorthogonality,
+                       check_dual_identities, dual_sequence,
                        fit_2orth_recurrence, generate, orthogonality_check)
 
 __all__ = ["InstanceResult", "run_theorem4", "run_theorem5",
@@ -118,11 +131,21 @@ def _drive(name, J, moment_order, check_order, hypotheses=None):
             report.add("scope(beta0,gamma1)", detail="fitted values match implied")
         it = intermediates(J, rc)
         system = hypotheses(it, report) if hypotheses else None
-        duals = dual_sequence(P, 5, moment_order)
-        verify_eigen(J, P[: check_order + 1], lam)
+        # the eigen transport certifies the duals and the eigen relation;
+        # if it refuses, the pairings and verify_eigen run and name a witness
+        transposes = {}
+
+        def certify(P, duals, N):
+            transposes.update(transport_certificate(J, P, lam, duals, N))
+            if not transposes:
+                check_biorthogonality(P, duals, N)
+
+        duals = dual_sequence(P, 5, moment_order, certify)
+        if not transposes:
+            verify_eigen(J, P[: check_order + 1], lam)
         report.add("eigen-relation", horizon=check_order)
         _recurrence_checks(rc, P, duals, check_order, report)
-        report.merge(j_expansion_check(it, duals, check_order))
+        report.merge(j_expansion_check(it, duals, check_order, transposes))
         report.merge(lemma_identities_check(it, duals[:2], check_order))
         if not hypotheses:
             return InstanceResult(PASSED, report)
@@ -197,7 +220,11 @@ def run_identities_rc(rc: RecurrenceCoeffs, *, moment_order: int = 40,
                       check_order: int = 24) -> InstanceResult:
     """Recurrence-level identity suite: generation round trip,
     biorthogonality, dual recurrence, u_2..u_5 decompositions, and the
-    d = 2 orthogonality conditions."""
+    d = 2 orthogonality conditions. It has no operator, so dual_sequence
+    certifies the duals by pairing. Needs moment_order >= 8 and rc
+    coefficients to depth 8 (ValueError otherwise)."""
+    if moment_order < 8:
+        raise ValueError("moment_order must be >= 8 on the recurrence route")
     report = Report("identities")
     depth = min(moment_order, len(rc.betas), len(rc.alphas) + 1,
                 len(rc.gammas) + 2)

@@ -5,7 +5,8 @@ the expansions x P_k = sum_j chi_{k,j} P_j, each computed once per
 sequence when first read: an O(k) four-term check, and a full expansion
 only of a row that fails it. The four-term-recurrence fit reads them up
 to the first row that fails, the dual-sequence moments run forward
-through them in O(N^2) and are certified by biorthogonality; the
+through them in O(N^2) and are certified by biorthogonality (by pairing,
+or by a certify the caller passes, such as the eigen transport); the
 dual recurrence run on polynomial pairs (dual_pairs: u_k = c0 u_0 + c1 u_1,
 the E/A/B/F pairs over the regular vector), and the moment-level identity
 checks for the dual recurrence, the decompositions and the orthogonality
@@ -257,15 +258,19 @@ def check_biorthogonality(P, duals, m_max: int):
                                        val, want)
 
 
-def dual_sequence(P, k_max: int, N: int) -> list:
+def dual_sequence(P, k_max: int, N: int, certify=check_biorthogonality) -> list:
     """[u_0, .., u_{k_max}] to order N, with (u_k)_n = c_{n,k} where
     x^n = sum_k c_{n,k} P_k.
 
     The rows run forward, c_{n+1,j} = sum_k c_{n,k} chi_{k,j}, through the
     expansions x P_k = sum_j chi_{k,j} P_j: the transpose of the four-term
-    recurrence when P is 2-orthogonal. The result is certified by
-    <u_k, P_m> = delta_km for every m <= N, which fixes the duals uniquely
-    (IdentityViolated "biorthogonality" otherwise)."""
+    recurrence when P is 2-orthogonal. Before the list is returned,
+    certify(P, duals, N) must certify <u_k, P_m> = delta_km for every
+    m <= N, which fixes the duals uniquely, or raise. By default it pairs
+    each dual with each P_m and raises IdentityViolated "biorthogonality"
+    at the first failing pair. The operator pipeline passes a certify
+    that tries the eigen transport (eigensolver.transport_certificate)
+    and pairs only when the transport fails, so the witness is the same."""
     if k_max > N:
         raise OrderExceeded(f"dual index {k_max} exceeds requested order {N}")
     if len(P) <= N:
@@ -289,7 +294,7 @@ def dual_sequence(P, k_max: int, N: int) -> list:
     duals = [MomentForm.from_pair(tuple([nums[k] * (D // den) if k < len(nums) else 0
                                          for nums, den in rows]), D)
              for k in range(k_max + 1)]
-    check_biorthogonality(P, duals, N)
+    certify(P, duals, N)
     return duals
 
 

@@ -270,6 +270,14 @@ class TestInputErrors:
         assert run_cli(["verify-theorem5", "--config", cfg, "--tau", "1",
                         "--out", out]) == 3
 
+    @pytest.mark.parametrize("order", ["6", "7"])
+    def test_identities_sweep_order_rule(self, tmp_path, capsys, order):
+        assert run_cli(["sweep", "--target", "verify-identities", "--order", order,
+                        "--check-order", "2", "--out", str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err
+        assert "moment_order must be >= 8 on the recurrence route" in err
+        assert "too shallow" not in err
+
     def test_sweep_needs_a_draw(self, tmp_path):
         assert run_cli(["sweep", "--target", "verify-identities", "--draws", "0",
                         "--out", str(tmp_path / "r.json")]) == 3

@@ -1,11 +1,21 @@
 """Operator matrix, eigen solving, and verification; uniqueness is
 cross-checked by an independent exact Gaussian-elimination solve."""
-import pytest
+from itertools import count
 
-from duorth import (DiffOperator, Polynomial, Rational, eigen_mps,
-                    operator_matrix, verify_eigen)
-from duorth.errors import IdentityViolated, NonInvertible, RepeatedEigenvalue
-from duorth.poly import ONE
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from duorth import (DiffOperator, MomentForm, ParamSampler, Polynomial,
+                    Rational, dual_sequence, eigen_mps, operator_matrix,
+                    verify_eigen)
+from duorth.eigensolver import transport_certificate
+from duorth.errors import (IdentityViolated, NonInvertible, OrderExceeded,
+                           RepeatedEigenvalue)
+from duorth.poly import ONE, X
+from duorth.two_orth import MPSPrefix, check_biorthogonality
+
+from conftest import operators
 
 R = Rational
 
@@ -129,3 +139,110 @@ class TestVerifyEigen:
     def test_accepts_valid(self):
         P, lam = eigen_mps(EULER, 5)
         assert verify_eigen(EULER, P, lam) is None
+
+
+def _pairings_and_eigen(J, P, lam, duals, N):
+    """The reference: check_biorthogonality to N and the eigen relation to
+    N - J.max_coeff_degree() both pass."""
+    try:
+        check_biorthogonality(P, duals, N)
+        verify_eigen(J, P[: N - J.max_coeff_degree() + 1], lam)
+    except IdentityViolated:
+        return False
+    return True
+
+
+def _isomorphism(J, N):
+    """J + c + K x D with the least integers c, K >= 0 that make
+    lambda_0..lambda_N nonzero and pairwise distinct (K x D adds n K to
+    lambda_n, c adds c), so that J has an eigen-MPS to N."""
+    lam = J.lambda_seq(0, N)
+    bad = {(lam[i] - lam[j]) / (j - i) for j in range(N + 1) for i in range(j)}
+    K = next(K for K in count() if K not in bad)
+    lam = [v + K * n for n, v in enumerate(lam)]
+    c = next(c for c in count() if -c not in lam)
+    a = list(J.a) + [Polynomial.zero()] * (2 - len(J.a))
+    return DiffOperator([a[0] + Polynomial.constant(c), a[1] + K * X] + a[2:])
+
+
+def _theorem_draws(N):
+    """The first operator of every theorem-4 and theorem-5 shape at seed 7."""
+    sampler, draws = ParamSampler(7), {}
+    while len(draws) < 6:
+        for kind, draw in (("t4", sampler.sample_theorem4(N)),
+                           ("t5", sampler.sample_theorem5(N))):
+            draws.setdefault(f"{kind}-{draw['shape']}", draw["J"])
+    return sorted(draws.items())
+
+
+class TestTransportCertificate:
+    """transport_certificate accepts exactly when the pairings to N and the
+    eigen relation to N - t both pass (t = J.max_coeff_degree()), on
+    eigen-MPS of random operators and of every sampler shape, untouched
+    and with one dual moment, one P_m coefficient or one lambda bumped."""
+
+    @staticmethod
+    def check(J, N, data):
+        P, lam = eigen_mps(J, N)
+        duals = dual_sequence(P, 5, N)
+        top = N - J.max_coeff_degree()
+        images = transport_certificate(J, P, lam, duals, N)
+        assert set(images) == set(duals)
+        for u in duals:
+            assert images[u] == J.transpose_apply(u)
+        polys, moments = list(P), [list(u.moments) for u in duals]
+        kind = data.draw(st.sampled_from(["moment", "coefficient", "lambda",
+                                          "equal-lambda"]))
+        delta = data.draw(st.sampled_from([R(1), R(-1), R(1, 3)]))
+        if kind == "moment":
+            k, j = data.draw(st.integers(0, 5)), data.draw(st.integers(0, N))
+            moments[k][j] += delta
+            refused = True  # <u_k, P_j> moves by delta
+        elif kind == "coefficient":
+            m = data.draw(st.integers(1, N))
+            i = data.draw(st.integers(0, m - 1))
+            polys[m] = polys[m] + delta * Polynomial.monomial(i)
+            refused = m <= top  # (J - lambda_m) x^i has x^i coefficient != 0
+        else:
+            n = data.draw(st.integers(0, N))
+            if kind == "lambda":
+                new = lam[n] + delta
+            else:
+                new = lam[data.draw(st.integers(0, N).filter(lambda j: j != n))]
+            lam = lam[:n] + [new] + lam[n + 1:]
+            refused = n <= top
+        P, duals = MPSPrefix(polys), [MomentForm(m) for m in moments]
+        expected = _pairings_and_eigen(J, P, lam, duals, N)
+        assert bool(transport_certificate(J, P, lam, duals, N)) == expected
+        if refused:
+            assert not expected
+
+    @given(operators().map(lambda J: _isomorphism(J, 12)), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_operators(self, J, data):
+        self.check(J, 12, data)
+
+    @pytest.mark.parametrize("shape, J", _theorem_draws(16),
+                             ids=[name for name, _ in _theorem_draws(16)])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_sampler_shapes(self, shape, J, data):
+        self.check(J, 16, data)
+
+    def test_repeated_lambda_refused(self):
+        # J = I has lambda_n = 1 for every n and t = 0, so the transport,
+        # the eigen relation and the (empty) top pairings all hold for a
+        # wrong u_0 = delta_0 + delta_1 with <u_0, P_1> = 1; only the
+        # distinct-lambda step refuses it
+        P = MPSPrefix([Polynomial.monomial(n) for n in range(9)])
+        duals = [MomentForm([1 if j == k else 0 for j in range(9)])
+                 for k in range(6)]
+        duals[0] = MomentForm([1, 1] + [0] * 7)
+        assert not _pairings_and_eigen(op([1]), P, [R(1)] * 9, duals, 8)
+        assert transport_certificate(op([1]), P, [R(1)] * 9, duals, 8) == {}
+
+    def test_short_duals_rejected(self):
+        P, lam = eigen_mps(EULER, 8)
+        duals = dual_sequence(P, 5, 7)
+        with pytest.raises(OrderExceeded):
+            transport_certificate(EULER, P, lam, duals, 8)

@@ -94,6 +94,18 @@ class TestIdentitySuites:
         with pytest.raises(ValueError):
             run_identities_rc(rc, moment_order=20, check_order=8)
 
+    @pytest.mark.parametrize("moment_order", [6, 7])
+    def test_rc_route_needs_order_8(self, sampler, moment_order):
+        # orders 6 and 7 pass the operator rule; the recurrence route names
+        # its own minimum, not the depth of a recurrence nobody supplied
+        rule = "moment_order must be >= 8 on the recurrence route"
+        with pytest.raises(ValueError, match=rule):
+            run_identities_rc(sampler.recurrence(26), moment_order=moment_order,
+                              check_order=2)
+        with pytest.raises(ValueError, match=rule):
+            run_sweep("verify-identities", 1, 1, moment_order=moment_order,
+                      check_order=2)
+
     def test_negative_check_order_rejected(self, sampler):
         with pytest.raises(ValueError):
             run_identities_rc(sampler.recurrence(26), moment_order=24,
@@ -320,12 +332,27 @@ def _bumped_dual_moment(monkeypatch, nu, k, delta):
     receives from pipelines.dual_sequence, after their certification."""
     certified = pipelines.dual_sequence
 
-    def dual_sequence(P, k_max, N):
-        duals = certified(P, k_max, N)
+    def dual_sequence(P, k_max, N, *certify):
+        duals = certified(P, k_max, N, *certify)
         moments = list(duals[nu].moments)
         moments[k] += delta(duals[nu], P)
         duals[nu] = MomentForm(moments)
         return duals
+    monkeypatch.setattr(pipelines, "dual_sequence", dual_sequence)
+
+
+def _bumped_before_certification(monkeypatch, nu, k, delta):
+    """Add delta to moment k of u_nu in the duals that
+    pipelines.dual_sequence builds, before its certify sees them."""
+    build = pipelines.dual_sequence
+
+    def dual_sequence(P, k_max, N, certify):
+        def bumped(P, duals, N):
+            moments = list(duals[nu].moments)
+            moments[k] += delta
+            duals[nu] = MomentForm(moments)
+            certify(P, duals, N)
+        return build(P, k_max, N, bumped)
     monkeypatch.setattr(pipelines, "dual_sequence", dual_sequence)
 
 
@@ -415,6 +442,15 @@ class TestNegativeControls:
         res = run_theorem4(README_J, moment_order=28, check_order=14)
         assert res.status == VIOLATED
         assert res.failure["tag"] == "biorthogonality"
+
+    @pytest.mark.parametrize("run", [run_theorem4, run_identities_operator])
+    def test_certification_sees_bumped_moment(self, monkeypatch, run):
+        # moment 20 of u_2 lies above check_order, so no identity check
+        # reads it; the transport refuses, and the pairings name <u_2, P_20>
+        _bumped_before_certification(monkeypatch, 2, 20, 1)
+        res = run(README_J, moment_order=28, check_order=14)
+        assert res.status == VIOLATED
+        assert res.failure == _failure("biorthogonality", "<u_2, P_20>", "1", "0")
 
     def test_hahn_sees_derivative_corruption(self, monkeypatch):
         # P_4 + x in place of P_4 adds 1/4 to Q_3 = P_4' / 4 of the
@@ -612,3 +648,57 @@ class TestOneIntermediatesPerVerdict:
         monkeypatch.setattr(hahn.Intermediates, "__init__", counted)
         assert run().status == status
         assert len(calls) == builds
+
+
+class TestTransportCertification:
+    """An operator verdict certifies its duals by the eigen transport: a
+    passing verdict pairs no dual with every P_m, runs no separate
+    verify_eigen, and computes J^T u_k once per dual for the certificate
+    and Eq-J(u_n) together. A corrupted verdict falls back to both."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        pairings, eigen, transposes = [], [], []
+        pair, verify = pipelines.check_biorthogonality, pipelines.verify_eigen
+        transpose = DiffOperator.transpose_apply
+
+        def counted_pair(P, duals, N):
+            pairings.append(N)
+            return pair(P, duals, N)
+
+        def counted_verify(J, P, lam):
+            eigen.append(len(P))
+            return verify(J, P, lam)
+
+        def counted_transpose(J, u):
+            if not J.shifted_form:
+                transposes.append(u)
+            return transpose(J, u)
+        monkeypatch.setattr(pipelines, "check_biorthogonality", counted_pair)
+        monkeypatch.setattr(pipelines, "verify_eigen", counted_verify)
+        monkeypatch.setattr(DiffOperator, "transpose_apply", counted_transpose)
+        return pairings, eigen, transposes
+
+    @pytest.mark.parametrize("run", [
+        lambda: run_theorem4(README_J, moment_order=28, check_order=14),
+        lambda: run_theorem5(T5_J, T5_TAU, moment_order=28, check_order=14),
+        lambda: run_identities_operator(README_J, moment_order=28,
+                                        check_order=14),
+    ], ids=["theorem4", "theorem5", "identities-operator"])
+    def test_passing_verdict(self, counts, run):
+        assert run().status == PASSED
+        pairings, eigen, transposes = counts
+        assert (pairings, eigen) == ([], [])
+        assert len(transposes) == 6 == len({id(u) for u in transposes})
+
+    def test_corrupted_duals_fall_back(self, counts, corrupt_structure_row):
+        corrupt_structure_row(12)
+        res = run_theorem4(README_J, moment_order=28, check_order=14)
+        assert res.failure["tag"] == "biorthogonality"
+        assert counts[:2] == ([28], [])
+
+    def test_corrupted_lambda_falls_back(self, counts, monkeypatch):
+        _perturbed_lambda(monkeypatch)
+        res = run_identities_operator(README_J, moment_order=28, check_order=14)
+        assert res.failure["where"] == "n=3"
+        assert counts[:2] == ([28], [15])
