@@ -141,6 +141,20 @@ def combine(pairs: Iterable[tuple]) -> MomentForm:
     return acc
 
 
+def _common_to(lhs: MomentForm, rhs: MomentForm, upto: int) -> tuple:
+    """Moments 0..upto of both forms over one denominator."""
+    return qcommon(lhs.nums[: upto + 1], lhs.den, rhs.nums[: upto + 1], rhs.den)[:2]
+
+
+def agree_to(lhs: MomentForm, rhs: MomentForm, upto: int) -> bool:
+    """Whether both forms carry moments 0..upto and those are equal: the
+    test of require_equal, as a bool."""
+    if min(lhs.order, rhs.order) < upto:
+        return False
+    a, b = _common_to(lhs, rhs, upto)
+    return a == b
+
+
 def require_equal(lhs: MomentForm, rhs: MomentForm, upto: int, tag: str):
     """Exact moment-wise equality to order upto; raises IdentityViolated with
     the first differing moment, OrderExceeded if either side is too shallow."""
@@ -148,7 +162,7 @@ def require_equal(lhs: MomentForm, rhs: MomentForm, upto: int, tag: str):
         raise OrderExceeded(
             f"{tag}: comparison to order {upto} exceeds reliable orders "
             f"{lhs.order}/{rhs.order}")
-    a, b, _ = qcommon(lhs.nums[: upto + 1], lhs.den, rhs.nums[: upto + 1], rhs.den)
+    a, b = _common_to(lhs, rhs, upto)
     if a != b:
         j = next(j for j, (x, y) in enumerate(zip(a, b)) if x != y)
         raise IdentityViolated(tag, f"moment {j}", lhs.moment(j), rhs.moment(j))

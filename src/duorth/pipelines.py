@@ -24,8 +24,19 @@ any of these steps fails, the run repeats the earlier sequence exactly:
 every pairing to moment_order, then verify_eigen to check_order. Those
 checks name the first failing pair or n, so a violated report has the
 same bytes as with pairing alone. run_identities_rc has no operator and
-always certifies by pairing. It needs moment_order >= 8."""
+always certifies by pairing. It needs moment_order >= 8.
+
+On both routes the d = 2 orthogonality rows (m <= 2) are then certified
+by the dual recurrence R_0..R_3 on those certified duals: the forms that
+check_dual_identities compares to check_order are compared again to the
+duals' order - 1, and moving each x of <u_nu, P_m P_j> across the pairing
+leaves pairings that biorthogonality makes 0. Only the six regularity
+pairings are computed. If a recurrence moment differs, the rows repeat
+every pairing, so a violated report names the same first nonzero pairing
+as before (two_orth.orthogonality_certificate)."""
 from __future__ import annotations
+
+from itertools import tee
 
 from .diffop import DiffOperator
 from .errors import (HypothesisViolated, IdentityViolated, NonInvertible,
@@ -38,7 +49,7 @@ from .reporting import Report
 from .sampling import ParamSampler
 from .serialize import operator_to_tree, poly_to_list, rat_to_str
 from .two_orth import (RecurrenceCoeffs, check_biorthogonality,
-                       check_dual_identities, dual_sequence,
+                       check_dual_identities, dual_recurrence, dual_sequence,
                        fit_2orth_recurrence, generate, orthogonality_check)
 
 __all__ = ["InstanceResult", "run_theorem4", "run_theorem5",
@@ -94,11 +105,15 @@ def _closed_forms(report, tag, kind):
 
 def _recurrence_checks(rc, P, duals, M, report):
     """Report the biorthogonality that dual_sequence certified, then check
-    the dual recurrence and decompositions and the d = 2 orthogonality."""
+    the dual recurrence and decompositions and the d = 2 orthogonality.
+    One set of dual-recurrence forms serves both: check_dual_identities
+    builds them as it compares them to M, and tee keeps them for the
+    certificate of orthogonality_check."""
     report.add("biorthogonality",
                horizon=f"k<={len(duals) - 1}, m<={min(8, duals[0].order)}")
-    report.merge(check_dual_identities(rc, duals, M))
-    report.merge(orthogonality_check(P, duals[:2], m_max=2))
+    for_identities, for_certificate = tee(dual_recurrence(rc, duals))
+    report.merge(check_dual_identities(rc, duals, M, for_identities))
+    report.merge(orthogonality_check(P, duals[:2], 2, for_certificate))
 
 
 def _drive(name, J, moment_order, check_order, hypotheses=None):

@@ -10,7 +10,9 @@ or by a certify the caller passes, such as the eigen transport); the
 dual recurrence run on polynomial pairs (dual_pairs: u_k = c0 u_0 + c1 u_1,
 the E/A/B/F pairs over the regular vector), and the moment-level identity
 checks for the dual recurrence, the decompositions and the orthogonality
-conditions.
+conditions. On certified duals the orthogonality zeros follow from the dual
+recurrence (orthogonality_certificate), so only their regularity pairings
+are computed.
 """
 from __future__ import annotations
 
@@ -22,15 +24,16 @@ from .backend import Rat as Rational
 from .backend import qreduce
 from .errors import (IdentityViolated, MissingCoefficient, NotTwoOrthogonal,
                      OrderExceeded, ZeroGamma)
-from .forms import MomentForm, combine, require_equal as _require_equal
+from .forms import MomentForm, agree_to, combine
+from .forms import require_equal as _require_equal
 from .poly import ONE, Polynomial, X, as_rational
 from .reporting import Report
 
 __all__ = [
     "RecurrenceCoeffs", "MPSPrefix", "generate", "expand_in_basis",
     "structure_row", "structure_rows", "fit_2orth_recurrence", "dual_sequence",
-    "check_biorthogonality", "dual_pairs", "check_dual_identities",
-    "orthogonality_check",
+    "check_biorthogonality", "dual_pairs", "dual_recurrence",
+    "check_dual_identities", "orthogonality_certificate", "orthogonality_check",
 ]
 
 
@@ -320,28 +323,43 @@ def dual_pairs(rc: RecurrenceCoeffs, k_max: int) -> list:
     return pairs
 
 
-def check_dual_identities(rc: RecurrenceCoeffs, duals: Sequence[MomentForm],
-                          M: int) -> Report:
-    """Verify the dual four-term recurrence
+def dual_recurrence(rc: RecurrenceCoeffs, duals: Sequence[MomentForm]):
+    """The two sides of the dual four-term recurrence R_n,
     x u_n = u_{n-1} + beta_n u_n + alpha_{n+1} u_{n+1} + gamma_{n+1} u_{n+2}
-    moment-wise to order M for every n with u_{n+2} available, and the
-    decompositions of u_2..u_5 over (u_0, u_1) by their dual_pairs
-    (tags Eq-u2..Eq-u5).
-    """
-    if len(duals) < 3:
-        raise ValueError("need at least u_0..u_2")
-    for u in duals:
-        if u.order < M + 1:
-            raise OrderExceeded(f"duals must carry order >= {M + 1}")
-    report = Report("dual-identities")
-    x = X
+    (u_{-1} = 0), as (n, x u_n, right side) for every n with u_{n+2} in
+    duals. Over duals of order N, x u_n has order N - 1 and the right side
+    order N. A generator: each R_n is built when it is read."""
     for n in range(len(duals) - 2):
-        lhs = duals[n].left_mul(x)
+        lhs = duals[n].left_mul(X)
         rhs = (rc.beta(n) * duals[n]
                + rc.alpha(n + 1) * duals[n + 1]
                + rc.gamma(n + 1) * duals[n + 2])
         if n >= 1:
             rhs = rhs + duals[n - 1]
+        yield n, lhs, rhs
+
+
+def check_dual_identities(rc: RecurrenceCoeffs, duals: Sequence[MomentForm],
+                          M: int, recurrence=None) -> Report:
+    """Verify the dual four-term recurrence R_n moment-wise to order M for
+    every n with u_{n+2} available, and the decompositions of u_2..u_5
+    over (u_0, u_1) by their dual_pairs (tags Eq-u2..Eq-u5).
+
+    recurrence is dual_recurrence(rc, duals) when the caller shares its
+    forms with orthogonality_check (pipelines does); it is built here
+    otherwise. M < 0 or fewer than three duals raise ValueError.
+    """
+    if len(duals) < 3:
+        raise ValueError("need at least u_0..u_2")
+    if M < 0:
+        raise ValueError("M must be >= 0")
+    for u in duals:
+        if u.order < M + 1:
+            raise OrderExceeded(f"duals must carry order >= {M + 1}")
+    report = Report("dual-identities")
+    if recurrence is None:
+        recurrence = dual_recurrence(rc, duals)
+    for n, lhs, rhs in recurrence:
         _require_equal(lhs, rhs, M, f"dual-recurrence(n={n})")
         report.add(f"dual-recurrence(n={n})", horizon=M)
     pairs = dual_pairs(rc, min(5, len(duals) - 1))
@@ -353,12 +371,47 @@ def check_dual_identities(rc: RecurrenceCoeffs, duals: Sequence[MomentForm],
     return report
 
 
-def orthogonality_check(P, duals, m_max: int) -> Report:
+def orthogonality_certificate(recurrence, m_max: int, N: int) -> bool:
+    """Whether <u_nu, P_m P_j> = 0 for nu in {0, 1}, m <= m_max and
+    2m + nu < j <= N - m follows without pairing, given duals u_k that
+    are biorthogonal to P to order N (dual_sequence certifies that) and
+    the (n, x u_n, right side) triples of dual_recurrence on them.
+
+    Proof: write P_m u_nu = sum_i p_i x^i u_nu and move one x at a time
+    across the pairing with P_j, <x u, q> = <u, x q> for deg q <= N - 1.
+    Replacing each x u_k by the right side of R_k, k <= 2 m_max - 1,
+    leaves u_0..u_{2m+nu} paired with P_j, and each of those pairings is 0
+    by biorthogonality. That needs R_n to hold moment-wise to N - 1 for
+    every n <= 2 m_max - 1, so u_0..u_{2 m_max + 1}; the certificate
+    checks exactly that and refuses (False) when a triple is missing, too
+    shallow, or differs. Wrong recurrence coefficients can therefore only
+    make it refuse."""
+    sides = {n: (lhs, rhs) for n, lhs, rhs in recurrence}
+    return all(n in sides and agree_to(*sides[n], N - 1)
+               for n in range(2 * m_max))
+
+
+def orthogonality_check(P, duals, m_max: int, recurrence=None) -> Report:
     """d = 2 orthogonality of the canonical pair: <u_nu, P_m P_n> = 0 for
-    n >= 2m + nu + 1, and <u_nu, P_m P_{2m+nu}> != 0, for nu in {0, 1}.
-    Each row m reads <P_m u_nu, P_n> off one left-multiplication."""
+    n >= 2m + nu + 1, and <u_nu, P_m P_{2m+nu}> != 0, for nu in {0, 1} and
+    m <= m_max. Row (nu, m) runs to n = min(len(P) - 1, order of u_nu - m);
+    the first row of nu whose regularity index 2m + nu lies past that
+    range ends nu's rows. Each row reads <P_m u_nu, P_n> off one
+    left-multiplication.
+
+    A caller whose duals dual_sequence certified against P passes their
+    dual_recurrence triples as recurrence (pipelines does). When
+    orthogonality_certificate accepts them, each row computes only its
+    regularity pairing and reports the same horizon. Otherwise, and
+    without recurrence, every pairing is computed and the first nonzero
+    one is the witness. Fewer than two duals raise ValueError."""
+    if len(duals) < 2:
+        raise ValueError("need at least u_0, u_1")
+    pair = duals[:2]
+    certified = recurrence is not None and orthogonality_certificate(
+        recurrence, m_max, max(u.order for u in pair))
     report = Report("orthogonality")
-    for nu, u in enumerate((duals[0], duals[1])):
+    for nu, u in enumerate(pair):
         for m in range(m_max + 1):
             reg_index = 2 * m + nu
             if reg_index >= len(P) or P[m].degree + P[reg_index].degree > u.order:
@@ -370,6 +423,9 @@ def orthogonality_check(P, duals, m_max: int) -> Report:
                     f"regularity(nu={nu},m={m})", f"<u_{nu}, P_{m} P_{reg_index}>",
                     val, "nonzero")
             n = reg_index + 1
+            if certified:
+                # the loop below then stops at once, at the n where it would
+                n = min(len(P), u.order - P[m].degree + 1)
             while n < len(P) and P[m].degree + P[n].degree <= u.order:
                 val = w.act(P[n])
                 if val != 0:

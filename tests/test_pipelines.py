@@ -8,7 +8,7 @@ import duorth.pipelines as pipelines
 from duorth import (DiffOperator, MomentForm, ParamSampler, Polynomial,
                     Rational, RecurrenceCoeffs, run_identities_rc,
                     run_identities_operator, run_sweep, run_theorem4,
-                    run_theorem5, hahn, two_orth)
+                    run_theorem5, forms, hahn, two_orth)
 from duorth.cli import main
 from duorth.hahn import ClassicalSystem
 from duorth.pipelines import PASSED, UNMET, VIOLATED
@@ -160,6 +160,11 @@ T5_J = DiffOperator([Polynomial([5]), Polynomial([R(1, 2), -2]),
 T5_TAU = R(2, 3)
 
 
+def _orthogonality_horizons(res):
+    return {item["tag"]: item["horizon"] for item in res.report.items
+            if item["tag"].startswith("orthogonality(")}
+
+
 class TestOrderValidation:
     @pytest.mark.parametrize("orders", [
         {"moment_order": 20, "check_order": 24},
@@ -229,6 +234,33 @@ class TestOrderValidation:
                     assert horizon == hahn_horizon <= moment_order - 1, tag
                 else:
                     assert horizon <= check_order, tag
+
+    @pytest.mark.parametrize("moment_order, check_order",
+                             [(6, c) for c in range(3)]
+                             + [(7, 3), (12, 8), (28, 14), (40, 24)])
+    def test_orthogonality_horizons_exact(self, moment_order, check_order):
+        # row (nu, m) runs to min(len(P) - 1, order of u_nu - m) = N - m on
+        # the operator routes (P_0..P_N, duals of order N); at order 6 the
+        # regularity index 5 of row (1, 2) lies past 6 - 2, so it is dropped
+        orders = {"moment_order": moment_order, "check_order": check_order}
+        expected = {f"orthogonality(nu={nu},m={m})": moment_order - m
+                    for nu in (0, 1) for m in range(3)
+                    if 3 * m + nu <= moment_order}
+        for res in (run_theorem4(README_J, **orders),
+                    run_theorem5(T5_J, T5_TAU, **orders),
+                    run_identities_operator(README_J, **orders)):
+            assert res.status == PASSED
+            assert _orthogonality_horizons(res) == expected
+
+    @pytest.mark.parametrize("moment_order", [8, 9, 24])
+    def test_orthogonality_horizons_exact_rc(self, sampler, moment_order):
+        # the recurrence route has P_0..P_depth and duals of order depth - 1
+        res = run_identities_rc(sampler.recurrence(26),
+                                moment_order=moment_order, check_order=4)
+        assert res.status == PASSED
+        assert _orthogonality_horizons(res) == {
+            f"orthogonality(nu={nu},m={m})": moment_order - 1 - m
+            for nu in (0, 1) for m in range(3)}
 
     @pytest.mark.parametrize("orders, horizon", [
         ((7, 2), "k<=5, m<=7"),  # only P_0..P_7 exist
@@ -390,6 +422,19 @@ class TestNegativeControls:
         assert res.status == VIOLATED
         assert res.failure == _failure("orthogonality(nu=0,m=0)",
                                        "<u_0, P_0 P_28>", "1", "0")
+
+    @pytest.mark.parametrize("run", [run_theorem4, run_identities_operator])
+    @pytest.mark.parametrize("nu, k", [(1, 28), (0, 17), (0, 20), (0, 27)])
+    def test_orthogonality_names_loop_witness(self, monkeypatch, run, nu, k):
+        # moments above check_order + 2 = 16 only the orthogonality rows and
+        # the certificate's recurrence comparison to 27 read; the certificate
+        # refuses, and the rows name the pairing the full loop names first,
+        # <u_nu, P_0 P_k> = 1
+        _bumped_dual_moment(monkeypatch, nu, k, lambda u, P: 1)
+        res = run(README_J, moment_order=28, check_order=14)
+        assert res.status == VIOLATED
+        assert res.failure == _failure(f"orthogonality(nu={nu},m=0)",
+                                       f"<u_{nu}, P_0 P_{k}>", "1", "0")
 
     @pytest.mark.parametrize("nu, k, failure", [
         (0, 0, _failure("dual-recurrence(n=0)", "moment 0", "1/3", "0")),
@@ -702,3 +747,61 @@ class TestTransportCertification:
         res = run_identities_operator(README_J, moment_order=28, check_order=14)
         assert res.failure["where"] == "n=3"
         assert counts[:2] == ([28], [15])
+
+
+class TestOrthogonalityCertification:
+    """A passing verdict certifies the d = 2 orthogonality zeros by the dual
+    recurrence: orthogonality_check computes only the six regularity
+    pairings, and the recurrence forms it reads are the ones
+    check_dual_identities built, so no left-multiplication is added. A
+    bumped moment the certificate sees makes it run every pairing."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        inside, pairings, mults = [], [], []
+        check, act, left = pipelines.orthogonality_check, forms.mact, forms.mleft
+
+        def counted_check(*args):
+            inside.append(True)
+            try:
+                return check(*args)
+            finally:
+                inside.pop()
+
+        def counted_act(p, m):
+            if inside:
+                pairings.append(len(p))
+            return act(p, m)
+
+        def counted_left(f, m):
+            mults.append(len(f))
+            return left(f, m)
+        monkeypatch.setattr(pipelines, "orthogonality_check", counted_check)
+        monkeypatch.setattr(forms, "mact", counted_act)
+        monkeypatch.setattr(forms, "mleft", counted_left)
+        return pairings, mults
+
+    # the left-multiplications of each verdict before the certificate
+    @pytest.mark.parametrize("run, left_mults", [
+        (lambda: run_theorem4(README_J, moment_order=28, check_order=14), 67),
+        (lambda: run_theorem5(T5_J, T5_TAU, moment_order=28, check_order=14),
+         92),
+        (lambda: run_identities_operator(README_J, moment_order=28,
+                                         check_order=14), 63),
+        (lambda: run_identities_rc(ParamSampler(20240817).recurrence(26),
+                                   moment_order=24, check_order=12), 18),
+    ], ids=["theorem4", "theorem5", "identities-operator", "identities-rc"])
+    def test_passing_verdict(self, counts, run, left_mults):
+        assert run().status == PASSED
+        pairings, mults = counts
+        # <u_nu, P_m P_{2m+nu}> read off P_m u_nu for nu <= 1, m <= 2
+        assert sorted(pairings) == [1, 2, 3, 4, 5, 6]
+        assert len(mults) <= left_mults
+
+    def test_bumped_top_moment_runs_the_loop(self, counts, monkeypatch):
+        # (u_0)_28 + 1 is seen by R_0 at moment 27; row (0, 0) then pairs
+        # u_0 with P_0 (regularity) and P_1..P_28 before it fails
+        _bumped_dual_moment(monkeypatch, 0, 28, lambda u, P: 1)
+        res = run_theorem4(README_J, moment_order=28, check_order=14)
+        assert res.failure["where"] == "<u_0, P_0 P_28>"
+        assert sorted(counts[0]) == list(range(1, 30))

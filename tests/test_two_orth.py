@@ -5,13 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rationals
-from duorth import (MomentForm, MPSPrefix, Polynomial, Rational,
+from duorth import (MomentForm, MPSPrefix, ParamSampler, Polynomial, Rational,
                     RecurrenceCoeffs, check_dual_identities, dual_pairs,
-                    dual_sequence, expand_in_basis, fit_2orth_recurrence,
-                    generate, orthogonality_check, structure_rows)
+                    dual_sequence, eigen_mps, expand_in_basis,
+                    fit_2orth_recurrence, generate, orthogonality_check,
+                    structure_rows)
 from duorth.errors import (IdentityViolated, MissingCoefficient,
                            NotTwoOrthogonal, OrderExceeded, ZeroGamma)
 from duorth.poly import ONE, X
+from duorth.two_orth import dual_recurrence, orthogonality_certificate
 
 R = Rational
 
@@ -313,6 +315,12 @@ class TestDualIdentities:
             check_dual_identities(bad, duals, 8)
         assert "dual-recurrence" in err.value.tag
 
+    def test_negative_order_rejected(self, sampler):
+        rc = sampler.recurrence(14)
+        duals = dual_sequence(generate(rc, 14), 5, 13)
+        with pytest.raises(ValueError, match="M must be >= 0"):
+            check_dual_identities(rc, duals, -1)
+
 
 class TestOrthogonality:
     def test_duality_rows(self, sampler):
@@ -333,9 +341,103 @@ class TestOrthogonality:
         assert (err.value.tag, err.value.where) == (
             "regularity(nu=1,m=0)", "<u_1, P_0 P_1>")
 
+    def test_needs_u0_and_u1(self, sampler):
+        P = generate(sampler.recurrence(16), 16)
+        duals = dual_sequence(P, 1, 15)
+        with pytest.raises(ValueError, match="need at least u_0, u_1"):
+            orthogonality_check(P, duals[:1], m_max=2)
+
     def test_specific_products(self, sampler):
         rc = sampler.recurrence(16)
         P = generate(rc, 16)
         u1 = dual_sequence(P, 1, 15)[1]
         assert u1.act(P[1] * P[3]) != 0
         assert u1.act(P[1] * P[4]) == 0
+
+
+def _fitted_theorem_mps(N):
+    """(shape, P, rc) at order N for the first draw of every theorem-4 and
+    theorem-5 sampler shape at seed 7 whose eigen-MPS is 2-orthogonal."""
+    sampler, draws = ParamSampler(7), {}
+    while len(draws) < 6:
+        for kind, draw in (("t4", sampler.sample_theorem4(16)),
+                           ("t5", sampler.sample_theorem5(16))):
+            draws.setdefault(f"{kind}-{draw['shape']}", draw["J"])
+    out = []
+    for shape, J in sorted(draws.items()):
+        P, _ = eigen_mps(J, N)
+        try:
+            out.append((shape, P, fit_2orth_recurrence(P)))
+        except NotTwoOrthogonal:
+            continue
+    return out
+
+
+_THEOREM_MPS = [(N, *entry) for N in (6, 7, 8, 16) for entry in _fitted_theorem_mps(N)]
+
+
+class TestOrthogonalityCertificate:
+    """orthogonality_certificate on duals that dual_sequence certified:
+    it accepts, and the certified rows give the loop's report; after one
+    moment k <= N of one dual is bumped it refuses, except for moment N of
+    u_4 or u_5, which no R_n compares to N - 1 and no row reads, and then
+    the loop still passes with the same report."""
+
+    @staticmethod
+    def check(P, rc, N, data):
+        duals = dual_sequence(P, 5, N)
+        assert orthogonality_certificate(dual_recurrence(rc, duals), 2, N)
+        loop = orthogonality_check(P, duals, 2).to_tree()
+        assert orthogonality_check(P, duals, 2,
+                                   dual_recurrence(rc, duals)).to_tree() == loop
+        nu = data.draw(st.integers(0, 5))
+        k = data.draw(st.sampled_from([0, N - 1, N]) | st.integers(0, N))
+        moments = list(duals[nu].moments)
+        moments[k] += data.draw(st.sampled_from([R(1), R(-1), R(1, 3)]))
+        duals[nu] = MomentForm(moments)
+        accepted = orthogonality_certificate(dual_recurrence(rc, duals), 2, N)
+        assert accepted == (nu >= 4 and k == N)
+        if accepted:
+            assert orthogonality_check(
+                P, duals, 2, dual_recurrence(rc, duals)).to_tree() == loop
+            assert orthogonality_check(P, duals, 2).to_tree() == loop
+
+    @given(st.integers(0, 10**6), st.integers(8, 30), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_recurrence_route(self, seed, depth, data):
+        # run_identities_rc's orders: P_0..P_depth, duals of order depth - 1
+        rc = ParamSampler(seed).recurrence(depth)
+        self.check(generate(rc, depth), rc, depth - 1, data)
+
+    @pytest.mark.parametrize("N, shape, P, rc", _THEOREM_MPS,
+                             ids=[f"{N}-{shape}" for N, shape, *_ in _THEOREM_MPS])
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_sampler_shapes(self, N, shape, P, rc, data):
+        self.check(P, rc, N, data)
+
+    def test_refuses_short_or_shallow_recurrence(self, sampler):
+        rc = sampler.recurrence(16)
+        P = generate(rc, 16)
+        duals = dual_sequence(P, 5, 15)
+        # m_max = 2 needs R_0..R_3 (u_0..u_5) to order N - 1 = 14
+        assert orthogonality_certificate(dual_recurrence(rc, duals), 2, 15)
+        assert not orthogonality_certificate(dual_recurrence(rc, duals[:5]), 2, 15)
+        assert orthogonality_certificate(dual_recurrence(rc, duals[:4]), 1, 15)
+        assert not orthogonality_certificate(dual_recurrence(rc, duals), 3, 15)
+        assert not orthogonality_certificate(dual_recurrence(rc, duals), 2, 16)
+
+    def test_top_moment_of_u4_u5_is_not_read(self, sampler):
+        # moment N of u_4 and u_5 enters R_2 and R_3 at order N only, and
+        # the rows read u_0 and u_1 alone: the certificate accepts and the
+        # loop agrees
+        rc = sampler.recurrence(16)
+        P = generate(rc, 16)
+        duals = dual_sequence(P, 5, 15)
+        loop = orthogonality_check(P, duals, 2).to_tree()
+        for k in (4, 5):
+            moments = list(duals[k].moments)
+            moments[15] += 1
+            duals[k] = MomentForm(moments)
+        assert orthogonality_certificate(dual_recurrence(rc, duals), 2, 15)
+        assert orthogonality_check(P, duals, 2).to_tree() == loop
