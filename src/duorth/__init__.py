@@ -8,8 +8,8 @@ from .forms import MomentForm, combine
 from .diffop import DiffOperator, LoweringClass
 from .two_orth import (MPSPrefix, RecurrenceCoeffs, check_dual_identities,
                        dual_pairs, dual_sequence, expand_in_basis, fit_2orth_recurrence, generate,
-                       orthogonality_check, structure_rows)
-from .eigensolver import OperatorMatrix, eigen_mps, operator_matrix, verify_eigen
+                       orthogonality_check)
+from .eigensolver import eigen_mps, verify_eigen
 from .hahn import (ClassicalSystem, Intermediates, classical_system_check,
                    derivative_mps, hahn_check, implied_first_coeffs,
                    intermediates, j_expansion_check, lemma_identities_check,
@@ -28,8 +28,7 @@ __all__ = [
     "MPSPrefix", "RecurrenceCoeffs",
     "check_dual_identities", "dual_pairs", "dual_sequence",
     "expand_in_basis", "fit_2orth_recurrence", "generate",
-    "orthogonality_check", "structure_rows",
-    "OperatorMatrix", "eigen_mps", "operator_matrix", "verify_eigen",
+    "orthogonality_check", "eigen_mps", "verify_eigen",
     "ClassicalSystem", "Intermediates",
     "classical_system_check", "derivative_mps", "hahn_check",
     "implied_first_coeffs", "intermediates", "j_expansion_check",

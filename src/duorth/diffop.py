@@ -3,8 +3,10 @@
 An operator is a finite list of polynomial coefficients a_nu with
 deg a_nu <= nu, acting on polynomials as sum_nu a_nu(x) p^(nu)(x) / nu!.
 The same coefficient list drives the action on polynomials, the shifted
-operators, the transpose action on moment forms, and the lowering-order
-classification with its lambda scalars.
+operators, the transpose action on moment forms, and the operator's band:
+its upper-triangular matrix in the monomial basis, whose diagonal and
+superdiagonals hold the lambda scalars of the eigen-solve and of the
+lowering-order classification.
 
 integer_form() gives the coefficients as integer numerators over their
 common denominator den, and both actions are one integer pass over den
@@ -25,7 +27,7 @@ from typing import Sequence
 from . import forms, poly
 from .backend import Rat as Rational
 from .backend import pnorm
-from .errors import OrderExceeded, ZeroLambda
+from .errors import OrderExceeded
 from .forms import MomentForm
 from .poly import Polynomial
 
@@ -149,18 +151,38 @@ class DiffOperator:
                 acc[m] += comb(m, nu) * w[m - nu]
         return MomentForm.from_pair(tuple(acc), den * u.den)
 
+    def band(self, n_max: int) -> tuple:
+        """(band, den): J's upper-triangular matrix in the monomial basis,
+        M[tau][n] = coefficient of x^tau in J(x^n) for tau <= n <= n_max,
+        from the closed monomial-image expansion
+        M[tau][n] = sum_{nu<=tau} C(n, nu) a_{tau-nu}^[n-nu].
+        A term needs n - nu <= order, so only the band
+        n - order <= tau <= n can be nonzero; column n holds it as
+        band[n][n - tau], integers over J's common denominator den. The
+        diagonal holds lambda_n and the k-th superdiagonal lambda_{n+k}^[k]."""
+        if self.shifted_form:
+            raise ValueError("band requires a normal-form operator")
+        (a, den), order = self.integer_form(), max(self.order, 0)
+        band = []
+        for n in range(n_max + 1):
+            low = max(0, n - order)
+            col = []
+            for tau in range(n, low - 1, -1):
+                acc = 0
+                for nu in range(low, tau + 1):
+                    # the coefficient of x^(tau-nu) in a_(n-nu)
+                    coeffs = a[n - nu] if n - nu < len(a) else ()
+                    if tau - nu < len(coeffs) and coeffs[tau - nu]:
+                        acc += comb(n, nu) * coeffs[tau - nu]
+                col.append(acc)
+            band.append(col)
+        return band, den
+
     def lambda_seq(self, k: int, count: int) -> list:
         """[lambda_{n+k}^[k] for n = 0..count], the order-k normalization
-        scalars sum_nu C(n+k, n+k-nu) a_{n-nu}^[n+k-nu]."""
-        out = []
-        for n in range(count + 1):
-            acc = Rational(0)
-            for nu in range(n + 1):
-                c = self.coef(n - nu, n + k - nu)
-                if c != 0:
-                    acc = acc + comb(n + k, nu) * c
-            out.append(acc)
-        return out
+        scalars: the k-th superdiagonal of band(count + k)."""
+        band, den = self.band(count + k)
+        return [Rational(col[k] if k < len(col) else 0, den) for col in band[k:]]
 
     def classify_order(self, n_check: int) -> "LoweringClass":
         """Determine the lowering order k: a_0 = .. = a_{k-1} = 0,
@@ -187,26 +209,6 @@ class DiffOperator:
                 return LoweringClass(
                     None, (), n_check, f"lambda_{n + k}^[{k}] = 0")
         return LoweringClass(k, lambdas, n_check, "")
-
-    def jimage_mps(self, P: Sequence[Polynomial], k: int) -> list:
-        """Normalized image sequence: (lambda_{n+k}^[k])^-1 J(P_{n+k}),
-        monic of degree n, for n = 0..len(P)-1-k."""
-        count = len(P) - 1 - k
-        if count < 0:
-            raise ValueError("MPS prefix shorter than the lowering order")
-        lambdas = self.lambda_seq(k, count)
-        out = []
-        for n in range(count + 1):
-            lam = lambdas[n]
-            if lam == 0:
-                raise ZeroLambda(f"lambda_{n + k}^[{k}] = 0")
-            q = self.apply(P[n + k]) / lam
-            if q.degree != n or not q.is_monic():
-                raise ValueError(
-                    f"image of P_{n + k} is not monic of degree {n}; "
-                    f"operator does not lower by {k}")
-            out.append(q)
-        return out
 
 
 class LoweringClass:

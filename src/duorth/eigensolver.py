@@ -1,11 +1,11 @@
 """Monic eigenpolynomial sequences of degree-preserving operators.
 
 The operator acts on the monomial basis as an upper-triangular matrix in
-the degree grading; the diagonal carries the lambda scalars. A normal-form
-operator of order r maps x^n into span(x^{n-r}, .., x^n), so only the band
-n - r <= tau <= n can be nonzero. For pairwise distinct, nonzero lambdas
-the monic eigenpolynomials exist, are unique, and come out of a banded
-triangular back-substitution: O(r N^2) steps for degrees up to N.
+the degree grading, whose band DiffOperator.band gives; the diagonal
+carries the lambda scalars. For pairwise distinct, nonzero lambdas the
+monic eigenpolynomials exist, are unique, and come out of a banded
+triangular back-substitution: O(r N^2) steps for degrees up to N, r the
+operator's order.
 
 verify_eigen checks J(P_n) = lambda_n P_n by one unreduced integer pass
 per n and builds reduced polynomials only for the witness of a failing n,
@@ -15,70 +15,20 @@ J^T u_k = lambda_k u_k to certify the duals' biorthogonality to N. It
 needs one transpose per dual and 6 (t + 1) pairings, where pairing to N
 needs 6 (N + 1). It certifies or refuses and never names a witness: on a
 refusal the operator pipeline pairs to N and runs verify_eigen to the
-check order, exactly as before, and those name the witness.
+check order, and those name the witness.
 """
 from __future__ import annotations
 
-from math import comb
 from operator import add, mul
 
 from .backend import Rat as Rational
 from .diffop import DiffOperator
-from .errors import (IdentityViolated, NonInvertible, OrderExceeded,
-                     RepeatedEigenvalue)
+from .errors import IdentityViolated, NonInvertible, RepeatedEigenvalue
+from .forms import require_order
 from .poly import Polynomial
 from .two_orth import MPSPrefix
 
-__all__ = ["OperatorMatrix", "operator_matrix", "eigen_mps", "verify_eigen",
-           "transport_certificate"]
-
-
-class OperatorMatrix:
-    """Entries M[tau][n] = coefficient of x^tau in J(x^n), 0 <= tau <= n <= n_max.
-    Only the band n - order <= tau <= n is stored, column n as
-    band[n][n - tau], in integers over J's common denominator den:
-    M[tau][n] = band[n][n - tau] / den, and every other entry is zero.
-    entry() and diagonal() give the Rationals."""
-
-    __slots__ = ("n_max", "band", "den")
-
-    def __init__(self, n_max: int, band, den: int):
-        self.n_max = n_max
-        self.band = band
-        self.den = den
-
-    def entry(self, tau: int, n: int) -> Rational:
-        col = self.band[n]
-        return Rational(col[n - tau] if 0 <= n - tau < len(col) else 0, self.den)
-
-    def diagonal(self) -> list:
-        return [Rational(col[0], self.den) for col in self.band]
-
-
-def operator_matrix(J: DiffOperator, n_max: int) -> OperatorMatrix:
-    """Build the matrix from the closed monomial-image expansion
-    M[tau][n] = sum_{nu<=tau} C(n, nu) a_{tau-nu}^[n-nu]  (tau <= n),
-    which expands J one monomial x^n at a time, where DiffOperator.apply
-    is a convolution over a whole polynomial. A term needs
-    n - nu <= J.order, so only the band n - J.order <= tau <= n can be
-    nonzero. The sums run on J's integer form."""
-    if J.shifted_form:
-        raise ValueError("operator_matrix requires a normal-form operator")
-    (a, den), order = J.integer_form(), max(J.order, 0)
-    band = []
-    for n in range(n_max + 1):
-        low = max(0, n - order)
-        col = []
-        for tau in range(n, low - 1, -1):
-            acc = 0
-            for nu in range(low, tau + 1):
-                # the coefficient of x^(tau-nu) in a_(n-nu)
-                coeffs = a[n - nu] if n - nu < len(a) else ()
-                if tau - nu < len(coeffs) and coeffs[tau - nu]:
-                    acc += comb(n, nu) * coeffs[tau - nu]
-            col.append(acc)
-        band.append(col)
-    return OperatorMatrix(n_max, band, den)
+__all__ = ["eigen_mps", "verify_eigen", "transport_certificate"]
 
 
 def eigen_mps(J: DiffOperator, n_max: int):
@@ -90,15 +40,14 @@ def eigen_mps(J: DiffOperator, n_max: int):
     Returns (MPSPrefix, [lambda_0..lambda_n_max]).
 
     The back-substitution c_tau = sum_m M[tau][m] c_m / (lambda_n - lambda_tau)
-    reads only the band (m <= tau + J.order) and is fraction-free, as in
+    reads only J.band (m <= tau + J.order) and is fraction-free, as in
     Bareiss's elimination: the band is integer over its common denominator,
     x_tau = c_tau prod_{tau<=s<n} (lambda_n - lambda_s) is an integer
     combination of x_{tau+1..tau+order}, and P_n is reduced once over the
     denominator prod_{s<n} (lambda_n - lambda_s). The lambda checks compare
     the band's integer diagonal.
     """
-    M = operator_matrix(J, n_max)
-    band, order = M.band, J.order
+    (band, den), order = J.band(n_max), J.order
     first = {}
     for n, col in enumerate(band):
         v = col[0]
@@ -126,7 +75,7 @@ def eigen_mps(J: DiffOperator, n_max: int):
             prod *= diff[tau]
         nums.append(prod)
         polys.append(Polynomial.from_pair(tuple(nums), prod))
-    return MPSPrefix(polys), M.diagonal()
+    return MPSPrefix(polys), [Rational(col[0], den) for col in band]
 
 
 def _first_eigen_failure(J: DiffOperator, P, lambdas):
@@ -140,8 +89,7 @@ def _first_eigen_failure(J: DiffOperator, P, lambdas):
     with the big p; no image is reduced."""
     if not len(P):
         return None
-    band = operator_matrix(J, max(len(p.nums) for p in P) - 1).band
-    den = J.integer_form()[1]
+    band, den = J.band(max(len(p.nums) for p in P) - 1)
     diags = [(d, [col[d] for col in band[d:]]) for d in range(max(J.order, 0) + 1)]
     diags = [(d, diag) for d, diag in diags if d == 0 or any(diag)]
     scaled = {}  # s -> the diagonals times s, built once per denominator
@@ -185,8 +133,7 @@ def transport_certificate(J: DiffOperator, P, lambdas, duals, N: int) -> dict:
     and the top t values of m, are made directly. On an eigen-MPS
     (distinct diagonal) the certificate holds exactly when the pairings to
     N and the eigen relation to N - t both do."""
-    if any(u.order < N for u in duals):
-        raise OrderExceeded(f"duals must carry order >= {N}")
+    require_order(duals, N)
     top = N - J.max_coeff_degree()
     lam = lambdas[: max(top + 1, len(duals))]
     if len(set(lam)) < len(lam) or _first_eigen_failure(J, P[: top + 1], lam) is not None:

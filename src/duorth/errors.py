@@ -17,10 +17,6 @@ class ZeroGamma(DuorthError):
     """A gamma recurrence coefficient required to be nonzero vanished."""
 
 
-class ZeroLambda(DuorthError):
-    """A normalization scalar lambda required to be nonzero vanished."""
-
-
 class NotTwoOrthogonal(DuorthError):
     """A sequence failed the four-term-recurrence fit.
 

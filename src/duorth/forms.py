@@ -155,6 +155,12 @@ def agree_to(lhs: MomentForm, rhs: MomentForm, upto: int) -> bool:
     return a == b
 
 
+def require_order(duals: Iterable[MomentForm], order: int) -> None:
+    """Raise OrderExceeded unless every dual carries moments to order."""
+    if any(u.order < order for u in duals):
+        raise OrderExceeded(f"duals must carry order >= {order}")
+
+
 def require_equal(lhs: MomentForm, rhs: MomentForm, upto: int, tag: str):
     """Exact moment-wise equality to order upto; raises IdentityViolated with
     the first differing moment, OrderExceeded if either side is too shallow."""

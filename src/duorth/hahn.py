@@ -18,8 +18,8 @@ from typing import Sequence
 
 from .backend import Rat as Rational
 from .diffop import DiffOperator
-from .errors import HypothesisViolated, IdentityViolated, OrderExceeded
-from .forms import MomentForm, combine, require_equal
+from .errors import HypothesisViolated, IdentityViolated
+from .forms import MomentForm, combine, require_equal, require_order
 from .poly import ONE, Polynomial, as_rational
 from .reporting import Report
 from .two_orth import (MPSPrefix, RecurrenceCoeffs, dual_pairs,
@@ -123,9 +123,7 @@ def j_expansion_check(it: Intermediates, duals: Sequence[MomentForm],
     transposed here."""
     if len(duals) < 6:
         raise ValueError("need the duals u_0..u_5")
-    for u in duals[:6]:
-        if u.order < M + 4:
-            raise OrderExceeded(f"duals must carry order >= {M + 4}")
+    require_order(duals[:6], M + 4)
     J, lam = it.J, it.lambdas
     u0, u1 = duals[0], duals[1]
     report = Report("j-expansions")
@@ -164,9 +162,7 @@ def lemma_identities_check(it: Intermediates, duals, M: int) -> Report:
     """Verify the three fundamental-pair identities to order M
     (tags Eq-Da2u0, Eq-Da2u1, Eq-Dcomplete); duals must carry M + 4."""
     u0, u1 = duals[0], duals[1]
-    for u in (u0, u1):
-        if u.order < M + 4:
-            raise OrderExceeded(f"duals must carry order >= {M + 4}")
+    require_order((u0, u1), M + 4)
     a1, a2 = it.J.coeff(1), it.J.coeff(2)
     a11 = a1[1]
     report = Report("fundamental-pair-identities")
@@ -382,9 +378,7 @@ def classical_system_check(sys, duals, M: int) -> Report:
     (tags Eq-EqClassic-1/2); duals must carry order >= M + 3."""
     phi, psi = sys.phi, sys.psi
     u0, u1 = duals[0], duals[1]
-    for u in (u0, u1):
-        if u.order < M + 3:
-            raise OrderExceeded(f"duals must carry order >= {M + 3}")
+    require_order((u0, u1), M + 3)
     report = Report("classical-system")
     for r, tag in enumerate(("Eq-EqClassic-1", "Eq-EqClassic-2")):
         expr = (combine([(phi[r][0], u0), (phi[r][1], u1)]).derivative()

@@ -20,20 +20,19 @@ to moment_order - t (t the largest coefficient degree of J), one
 transpose per dual, and direct pairings only for m = k and the top t
 values of m (eigensolver.transport_certificate). That also certifies the
 eigen relation to check_order, and Eq-J(u_n) reuses the transposes. If
-any of these steps fails, the run repeats the earlier sequence exactly:
-every pairing to moment_order, then verify_eigen to check_order. Those
-checks name the first failing pair or n, so a violated report has the
-same bytes as with pairing alone. run_identities_rc has no operator and
-always certifies by pairing. It needs moment_order >= 8.
+any of these steps fails, the run pairs every dual to moment_order and
+then runs verify_eigen to check_order; those checks name the first
+failing pair or n. run_identities_rc has no operator and always
+certifies by pairing. It needs moment_order >= 8.
 
 On both routes the d = 2 orthogonality rows (m <= 2) are then certified
 by the dual recurrence R_0..R_3 on those certified duals: the forms that
 check_dual_identities compares to check_order are compared again to the
 duals' order - 1, and moving each x of <u_nu, P_m P_j> across the pairing
 leaves pairings that biorthogonality makes 0. Only the six regularity
-pairings are computed. If a recurrence moment differs, the rows repeat
-every pairing, so a violated report names the same first nonzero pairing
-as before (two_orth.orthogonality_certificate)."""
+pairings are computed. If a recurrence moment differs, the rows compute
+every pairing and a violated report names the first nonzero one
+(two_orth.orthogonality_certificate)."""
 from __future__ import annotations
 
 from itertools import tee

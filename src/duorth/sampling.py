@@ -44,36 +44,13 @@ class ParamSampler:
     def poly(self, max_degree: int) -> Polynomial:
         return Polynomial([self.rat() for _ in range(max_degree + 1)])
 
-    def recurrence(self, depth: int, *, alpha1_zero: bool = False,
-                   tie_alpha4: bool = False) -> RecurrenceCoeffs:
+    def recurrence(self, depth: int) -> RecurrenceCoeffs:
         """A regular random rc with beta_0..beta_{depth-1}, alpha_1..alpha_depth,
         gamma_1..gamma_depth (all gammas nonzero)."""
         betas = [self.rat() for _ in range(depth)]
         alphas = [self.rat() for _ in range(depth)]
         gammas = [self.rat() for _ in range(depth)]
-        if alpha1_zero:
-            alphas[0] = Rational(0)
-        if tie_alpha4:
-            if depth < 4:
-                raise ValueError("tie_alpha4 needs depth >= 4")
-            alphas[3] = alphas[1] * gammas[2] / gammas[1]
         return RecurrenceCoeffs(betas, alphas, gammas)
-
-    def mps_polys(self, n_max: int) -> list:
-        """An arbitrary random MPS prefix (monic, full degrees)."""
-        out = []
-        for n in range(n_max + 1):
-            out.append(Polynomial([self.rat() for _ in range(n)] + [1]))
-        return out
-
-    def operator(self, max_order: int = 3, lowering: int | None = None) -> DiffOperator:
-        """A random normal-form operator; with lowering=k the coefficients
-        satisfy a_nu = 0 below k and deg a_nu <= nu - k."""
-        k = lowering if lowering is not None else 0
-        coeffs = [Polynomial.zero()] * k
-        for nu in range(k, max_order + 1):
-            coeffs.append(self.poly(self.rng.randint(0, nu - k)))
-        return DiffOperator(coeffs)
 
     def _a0_avoiding(self, nums: set, den: int) -> Rational:
         """A constant a_0 making every lambda_n = a_0 + nums_n / den nonzero:

@@ -24,14 +24,14 @@ from .backend import Rat as Rational
 from .backend import qreduce
 from .errors import (IdentityViolated, MissingCoefficient, NotTwoOrthogonal,
                      OrderExceeded, ZeroGamma)
-from .forms import MomentForm, agree_to, combine
+from .forms import MomentForm, agree_to, combine, require_order
 from .forms import require_equal as _require_equal
 from .poly import ONE, Polynomial, X, as_rational
 from .reporting import Report
 
 __all__ = [
     "RecurrenceCoeffs", "MPSPrefix", "generate", "expand_in_basis",
-    "structure_row", "structure_rows", "fit_2orth_recurrence", "dual_sequence",
+    "structure_row", "fit_2orth_recurrence", "dual_sequence",
     "check_biorthogonality", "dual_pairs", "dual_recurrence",
     "check_dual_identities", "orthogonality_certificate", "orthogonality_check",
 ]
@@ -98,7 +98,7 @@ class RecurrenceCoeffs:
 
 class MPSPrefix:
     """A monic polynomial sequence prefix: entry n has degree exactly n.
-    Its structure rows are kept once computed (see structure_rows)."""
+    Its structure rows are kept once computed (see structure_row)."""
 
     __slots__ = ("polys", "_rows")
 
@@ -170,7 +170,7 @@ def _as_prefix(P) -> MPSPrefix:
 
 
 def _row(P: MPSPrefix, k: int) -> tuple:
-    """Row k of structure_rows(P). Fraction-free elimination of the top
+    """structure_row(P, k), computed. Fraction-free elimination of the top
     three coefficients of x P_k - P_{k+1} = w / e by the monic P_k, P_{k-1},
     P_{k-2} gives chi_{k,k}, chi_{k,k-1}, chi_{k,k-2}; one integer combination
     checks that the rest vanishes. A row that is not four-term is expanded
@@ -197,26 +197,17 @@ def _row(P: MPSPrefix, k: int) -> tuple:
 
 
 def structure_row(P: MPSPrefix, k: int) -> tuple:
-    """Row k of structure_rows(P), computed on first request together with
-    any row before it, and kept by P."""
+    """Row k of P: the nonzero (j, chi_{k,j}) of x P_k = sum_j chi_{k,j} P_j,
+    ascending in j, for k <= len(P) - 2; at most four entries when P is
+    2-orthogonal. A row costs O(k) when it is four-term (see _row) and a
+    full expansion over P when it is not. It is computed on first request
+    together with any row before it, and kept by P; row k is the same over
+    every prefix of P that holds P_{k+1}."""
     rows = P._rows
     while len(rows) <= k:
         rows += (_row(P, len(rows)),)
         object.__setattr__(P, "_rows", rows)
     return rows[k]
-
-
-def structure_rows(P) -> tuple:
-    """Row k holds the nonzero (j, chi_{k,j}) of x P_k = sum_j chi_{k,j} P_j,
-    ascending in j, for k <= len(P) - 2: at most four entries when P is
-    2-orthogonal. Each row costs O(k) when it is four-term (see _row) and a
-    full expansion over P when it is not. A plain sequence is wrapped in
-    an MPSPrefix; an MPSPrefix keeps the rows computed so far. Row k is the
-    same over every prefix of P that holds P_{k+1}."""
-    P = _as_prefix(P)
-    for k in range(len(P) - 1):
-        structure_row(P, k)
-    return P._rows
 
 
 def fit_2orth_recurrence(P: MPSPrefix | Sequence[Polynomial]) -> RecurrenceCoeffs:
@@ -273,7 +264,8 @@ def dual_sequence(P, k_max: int, N: int, certify=check_biorthogonality) -> list:
     each dual with each P_m and raises IdentityViolated "biorthogonality"
     at the first failing pair. The operator pipeline passes a certify
     that tries the eigen transport (eigensolver.transport_certificate)
-    and pairs only when the transport fails, so the witness is the same."""
+    and pairs only when the transport fails, so the pairings name the
+    witness."""
     if k_max > N:
         raise OrderExceeded(f"dual index {k_max} exceeds requested order {N}")
     if len(P) <= N:
@@ -353,9 +345,7 @@ def check_dual_identities(rc: RecurrenceCoeffs, duals: Sequence[MomentForm],
         raise ValueError("need at least u_0..u_2")
     if M < 0:
         raise ValueError("M must be >= 0")
-    for u in duals:
-        if u.order < M + 1:
-            raise OrderExceeded(f"duals must carry order >= {M + 1}")
+    require_order(duals, M + 1)
     report = Report("dual-identities")
     if recurrence is None:
         recurrence = dual_recurrence(rc, duals)

@@ -1,7 +1,10 @@
+from math import comb
+
 import pytest
 from hypothesis import strategies as st
 
-from duorth import DiffOperator, ParamSampler, Polynomial, Rational, two_orth
+from duorth import (DiffOperator, MPSPrefix, ParamSampler, Polynomial, Rational,
+                    RecurrenceCoeffs, two_orth)
 
 
 def rationals(max_num: int = 30, max_den: int = 12):
@@ -45,3 +48,83 @@ def corrupt_structure_row(monkeypatch):
             return tuple((j, c + 1 if j == k - 2 else c) for j, c in row)
         monkeypatch.setattr(two_orth, "structure_row", perturbed)
     return corrupt
+
+
+def random_operator(sampler, max_order: int = 3, lowering: int | None = None) -> DiffOperator:
+    """A random normal-form operator drawn from sampler; with lowering=k the
+    coefficients satisfy a_nu = 0 below k and deg a_nu <= nu - k."""
+    k = lowering if lowering is not None else 0
+    coeffs = [Polynomial.zero()] * k
+    for nu in range(k, max_order + 1):
+        coeffs.append(sampler.poly(sampler.rng.randint(0, nu - k)))
+    return DiffOperator(coeffs)
+
+
+def random_mps(sampler, n_max: int) -> list:
+    """An arbitrary random MPS prefix (monic, full degrees) drawn from sampler."""
+    return [Polynomial([sampler.rat() for _ in range(n)] + [1])
+            for n in range(n_max + 1)]
+
+
+def random_recurrence(sampler, depth: int, *, alpha1_zero: bool = False,
+                      tie_alpha4: bool = False) -> RecurrenceCoeffs:
+    """sampler.recurrence(depth), with alpha_1 = 0 (alpha1_zero) or
+    alpha_4 = alpha_2 gamma_3 / gamma_2 (tie_alpha4) set afterwards; the
+    draws are those of sampler.recurrence."""
+    rc = sampler.recurrence(depth)
+    alphas = list(rc.alphas)
+    if alpha1_zero:
+        alphas[0] = Rational(0)
+    if tie_alpha4:
+        alphas[3] = alphas[1] * rc.gammas[2] / rc.gammas[1]
+    return RecurrenceCoeffs(rc.betas, alphas, rc.gammas)
+
+
+def jimage_mps(J: DiffOperator, P, k: int) -> list:
+    """Normalized image sequence: (lambda_{n+k}^[k])^-1 J(P_{n+k}), monic
+    of degree n, for n = 0..len(P)-1-k."""
+    count = len(P) - 1 - k
+    if count < 0:
+        raise ValueError("MPS prefix shorter than the lowering order")
+    out = []
+    for n, lam in enumerate(J.lambda_seq(k, count)):
+        if lam == 0:
+            raise ValueError(f"lambda_{n + k}^[{k}] = 0")
+        q = J.apply(P[n + k]) / lam
+        if q.degree != n or not q.is_monic():
+            raise ValueError(f"image of P_{n + k} is not monic of degree {n}")
+        out.append(q)
+    return out
+
+
+def structure_rows(P) -> tuple:
+    """Every structure row of P, k <= len(P) - 2 (two_orth.structure_row);
+    the tuple an MPSPrefix keeps. A plain sequence is wrapped first."""
+    P = P if isinstance(P, MPSPrefix) else MPSPrefix(P)
+    for k in range(len(P) - 1):
+        two_orth.structure_row(P, k)
+    return P._rows
+
+
+class OperatorMatrix:
+    """Entries M[tau][n] = coefficient of x^tau in J(x^n), tau <= n <= n_max,
+    read off J.band(n_max): M[tau][n] = band[n][n - tau] / den inside the
+    band, zero outside it."""
+
+    def __init__(self, J: DiffOperator, n_max: int):
+        self.band, self.den = J.band(n_max)
+
+    def entry(self, tau: int, n: int) -> Rational:
+        col = self.band[n]
+        return Rational(col[n - tau] if 0 <= n - tau < len(col) else 0, self.den)
+
+    def diagonal(self) -> list:
+        return [Rational(col[0], self.den) for col in self.band]
+
+
+def lambda_sums(J: DiffOperator, k: int, count: int) -> list:
+    """Reference [lambda_{n+k}^[k] for n = 0..count] by the direct sums
+    sum_nu C(n+k, nu) a_{n-nu}^[n+k-nu] on J's Rational coefficients."""
+    return [sum((comb(n + k, nu) * J.coef(n - nu, n + k - nu) for nu in range(n + 1)),
+                Rational(0))
+            for n in range(count + 1)]

@@ -9,6 +9,7 @@ from math import factorial
 
 import pytest
 
+from conftest import jimage_mps, random_mps, random_operator, random_recurrence
 from duorth import (DiffOperator, MomentForm, ParamSampler, Polynomial,
                     Rational, check_dual_identities, dual_sequence,
                     fit_2orth_recurrence, generate, intermediates,
@@ -44,7 +45,7 @@ def test_criterion_1_operator_calculus():
     s = ParamSampler(101)
 
     for _ in range(100):  # duality <tJ(u), f> = <u, J(f)>
-        J = s.operator(3)
+        J = random_operator(s, 3)
         u = MomentForm([s.rat() for _ in range(14)])
         f = s.poly(5)
         left = J.transpose_apply(u)
@@ -53,7 +54,7 @@ def test_criterion_1_operator_calculus():
         assert left.act(f) == u.act(J.apply(f))
 
     for _ in range(100):  # Leibniz on polynomials, both orderings
-        J = s.operator(3)
+        J = random_operator(s, 3)
         f, g = s.poly(4), s.poly(3)
         lhs = J.apply(f * g)
         for a, b in ((f, g), (g, f)):
@@ -69,7 +70,7 @@ def test_criterion_1_operator_calculus():
             assert acc == lhs
 
     for _ in range(100):  # third-order Leibniz on forms (four terms)
-        J = s.operator(3)
+        J = random_operator(s, 3)
         f = s.poly(3)
         u = MomentForm([s.rat() for _ in range(20)])
         lhs = J.transpose_apply(u.left_mul(f))
@@ -82,12 +83,12 @@ def test_criterion_1_operator_calculus():
     count = 0  # image-dual transport J(u~_n) = lambda_{n+k} u_{n+k}
     while count < 100:
         k = count % 3
-        J = s.operator(3, lowering=k)
+        J = random_operator(s, 3, lowering=k)
         lams = J.lambda_seq(k, 12)
         if any(v == 0 for v in lams):
             continue
-        P = s.mps_polys(12)
-        Pt = J.jimage_mps(P, k)
+        P = random_mps(s, 12)
+        Pt = jimage_mps(J, P, k)
         duals = dual_sequence(P, 8, 11)
         duals_t = dual_sequence(Pt, 3, len(Pt) - 1)
         for n in range(3):
@@ -110,7 +111,7 @@ def test_criterion_2_lambda_cross_check():
     started = time.monotonic()
     s = ParamSampler(202)
     for _ in range(50):
-        J = s.operator(3)
+        J = random_operator(s, 3)
         lams = J.lambda_seq(0, 12)
         assert lams[0] == J.coef(0, 0)
         assert lams[1] == J.coef(0, 0) + J.coef(1, 1)
@@ -119,7 +120,7 @@ def test_criterion_2_lambda_cross_check():
             assert J.apply(Polynomial.monomial(n))[n] == lams[n]
     for k in (1, 2):  # lowering variants against degree-n coefficients
         for _ in range(10):
-            J = s.operator(3, lowering=k)
+            J = random_operator(s, 3, lowering=k)
             lams = J.lambda_seq(k, 10)
             for n in range(11):
                 assert J.apply(Polynomial.monomial(n + k))[n] == lams[n]
@@ -158,7 +159,7 @@ def test_criterion_4_closed_form_identities():
 
     done = 0
     while done < 5:
-        rc = s.recurrence(8, alpha1_zero=True)
+        rc = random_recurrence(s, 8, alpha1_zero=True)
         a1 = R(-1, 3) / rc.gamma(1) * (X - Polynomial.constant(rc.beta(0)))
         a3 = s.poly(3)
         if a3.degree != 3:
@@ -173,7 +174,7 @@ def test_criterion_4_closed_form_identities():
 
     done = 0
     while done < 5:
-        rc = s.recurrence(8, tie_alpha4=True)
+        rc = random_recurrence(s, 8, tie_alpha4=True)
         a1 = R(-1, 3) / rc.gamma(1) * (X - Polynomial.constant(rc.beta(0)))
         a2 = Polynomial([s.rat(), s.rat()])
         tau = s.rat()

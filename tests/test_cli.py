@@ -70,6 +70,17 @@ class TestEigensolve:
         out = str(tmp_path / "report.json")
         assert run_cli(["eigensolve", "--config", cfg, "--out", out]) == 2
 
+    def test_theorem4_operator_is_two_orthogonal(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "t4.json",
+                           {"operator": [["2"], ["-1", "3"], [], ["1"]]})
+        out = str(tmp_path / "report.json")
+        assert run_cli(["eigensolve", "--config", cfg, "--out", out]) == 0
+        assert capsys.readouterr().out == "eigensolve: solved to n=12; 2-orthogonal\n"
+        res = json.loads(open(out).read())["results"]
+        assert res["two_orthogonal"] is True
+        assert sorted(res["recurrence"]) == ["alpha", "beta", "gamma"]
+        assert res["recurrence"]["alpha"][0] == "0"
+
 
 class TestTheoremModes:
     def test_theorem4_passes(self, tmp_path):
@@ -168,6 +179,14 @@ class TestIdentitiesAndHahn:
         cfg = write_config(tmp_path, "he.json", {"operator": [["1"], ["0", "1"]]})
         out = str(tmp_path / "report.json")
         assert run_cli(["hahn", "--config", cfg, "--out", out]) == 1
+
+    def test_hahn_repeated_eigenvalue(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "hi.json", {"operator": [["1"]]})
+        out = str(tmp_path / "report.json")
+        assert run_cli(["hahn", "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().out == "hahn: lambda_1 = lambda_0: repeated eigenvalue\n"
+        assert json.loads(open(out).read())["results"] == {
+            "error": "lambda_1 = lambda_0: repeated eigenvalue"}
 
     def test_hahn_positive_from_theorem_operator(self, tmp_path):
         cfg = write_config(tmp_path, "h4.json",
@@ -298,6 +317,31 @@ class TestInputErrors:
         assert run_cli(["classify", "--config", cfg,
                         "--out", str(tmp_path / "missing" / "r.json")]) == 3
         assert "input error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, tree, flags, message", [
+        pytest.param("classify", ["x"], [], "config root must be a JSON object",
+                     id="config-root-not-object"),
+        pytest.param("eigensolve", {"operator": [["0"], ["1"]]}, ["--nmax", "3"],
+                     "n_max must be >= 4", id="nmax-3"),
+        pytest.param("verify-theorem5",
+                     {"operator": [["5"], ["-1", "3"], ["3/2"], ["1"]]}, ["--tau", "1.5"],
+                     "bad tau: not a p/q rational string: '1.5'", id="tau-not-rational"),
+        pytest.param("verify-identities", {}, [],
+                     "verify-identities needs an operator or a recurrence",
+                     id="identities-without-input"),
+        pytest.param("hahn", {"recurrence": {"beta": ["1", "2", "3"], "alpha": ["1", "2", "3"],
+                                             "gamma": ["1", "2", "3"]}}, [],
+                     "recurrence too shallow for n_max=12: beta_3 not stored",
+                     id="hahn-shallow-recurrence"),
+        pytest.param("hahn", {}, [], "hahn needs an operator or a recurrence",
+                     id="hahn-without-input"),
+    ])
+    def test_rejected_input(self, tmp_path, capsys, mode, tree, flags, message):
+        cfg = write_config(tmp_path, "c.json", tree)
+        assert run_cli([mode, "--config", cfg, *flags,
+                        "--out", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert not (tmp_path / "r.json").exists()
 
     def test_tau_required_when_a2_zero(self, tmp_path):
         cfg = write_config(tmp_path, "t5z.json",

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import operators, polynomials, rationals
+from conftest import (jimage_mps, operators, polynomials, random_mps,
+                      random_operator, rationals)
 from duorth import (DiffOperator, MomentForm, Polynomial, Rational,
                     dual_sequence, eigen_mps, forms, poly)
 from duorth.errors import OrderExceeded
@@ -28,7 +29,7 @@ EULER = op([1], [0, 1])  # I + x D
 def rand_iso(sampler, max_order=3):
     """Random normal-form operator with nonzero lambda diagonal."""
     while True:
-        J = sampler.operator(max_order)
+        J = random_operator(sampler, max_order)
         if J.order < 0:
             continue
         lams = J.lambda_seq(0, 14)
@@ -101,7 +102,7 @@ class TestBinomialActions:
         counted(poly, "pmul")
         counted(forms, "mleft")
         for _ in range(10):
-            J = sampler.operator(5).shifted(sampler.rng.randint(0, 2))
+            J = random_operator(sampler, 5).shifted(sampler.rng.randint(0, 2))
             p = sampler.poly(sampler.rng.randint(0, 4))
             u = MomentForm([sampler.rat() for _ in range(20)])
             calls.update(pmul=0, mleft=0)
@@ -122,7 +123,7 @@ class TestApply:
     def test_third_order_top_coefficient(self, sampler):
         # coefficient of x^3 in J(x^3) is a0^[0] + 3 a1^[1] + 3 a2^[2] + a3^[3]
         for _ in range(5):
-            J = sampler.operator(3)
+            J = random_operator(sampler, 3)
             image = J.apply(Polynomial.monomial(3))
             want = (J.coef(0, 0) + 3 * J.coef(1, 1) + 3 * J.coef(2, 2)
                     + J.coef(3, 3))
@@ -130,7 +131,7 @@ class TestApply:
 
     def test_never_raises_degree(self, sampler):
         for _ in range(5):
-            J = sampler.operator(3)
+            J = random_operator(sampler, 3)
             p = sampler.poly(6)
             assert J.apply(p).degree <= max(p.degree, 0)
 
@@ -178,7 +179,7 @@ class TestTranspose:
     def test_duality(self, sampler):
         # <tJ(u), f> = <u, J(f)> on random draws
         for _ in range(60):
-            J = sampler.operator(3)
+            J = random_operator(sampler, 3)
             u = MomentForm([sampler.rat() for _ in range(14)])
             f = sampler.poly(5)
             left = J.transpose_apply(u)
@@ -243,7 +244,7 @@ class TestClassify:
 
     def test_iso_iff_degree_preserved(self, sampler):
         for _ in range(20):
-            J = sampler.operator(3)
+            J = random_operator(sampler, 3)
             if J.order < 0:
                 continue
             cls = J.classify_order(10)
@@ -255,23 +256,23 @@ class TestClassify:
 class TestJImage:
     def test_derivative_on_monomials(self):
         P = [Polynomial.monomial(n) for n in range(8)]
-        assert D.jimage_mps(P, 1) == P[:7]
+        assert jimage_mps(D, P, 1) == P[:7]
 
     def test_identity_fixed_point(self):
         P = [Polynomial.monomial(n) for n in range(6)]
-        assert IDENT.jimage_mps(P, 0) == P
+        assert jimage_mps(IDENT, P, 0) == P
 
     def test_eigen_fixed_point(self, sampler):
         J = op([2], [-1, 3], [], [1])
         P, lam = eigen_mps(J, 10)
-        assert J.jimage_mps(P.polys, 0) == list(P.polys)
+        assert jimage_mps(J, P.polys, 0) == list(P.polys)
 
 
 class TestLeibniz:
     def test_product_of_polynomials(self, sampler):
         # J(fg) = sum_n J^(n)(f) g^(n)/n!, and with f, g exchanged
         for _ in range(20):
-            J = sampler.operator(3)
+            J = random_operator(sampler, 3)
             f, g = sampler.poly(4), sampler.poly(3)
             lhs = J.apply(f * g)
             for a, b in ((f, g), (g, f)):
@@ -288,7 +289,7 @@ class TestLeibniz:
     def test_product_with_form_third_order(self, sampler):
         # J(fu) = f J(u) - f' J^(1)(u) + (1/2) f'' J^(2)(u) - (1/6) f''' J^(3)(u)
         for _ in range(10):
-            J = sampler.operator(3)
+            J = random_operator(sampler, 3)
             f = sampler.poly(3)
             if f.is_zero():
                 f = f + ONE
@@ -308,8 +309,8 @@ class TestDualTransport:
         # J(u~_n) = lambda_{n+k} u_{n+k} for the image sequence duals
         for k in (0, 1, 2):
             J = rand_lowering(sampler, k)
-            P = sampler.mps_polys(12)
-            Pt = J.jimage_mps(P, k)
+            P = random_mps(sampler, 12)
+            Pt = jimage_mps(J, P, k)
             duals = dual_sequence(P, 8, 11)
             duals_t = dual_sequence(Pt, 8, len(Pt) - 1)
             lams = J.lambda_seq(k, 8)
@@ -326,7 +327,7 @@ class TestDualTransport:
 
 def rand_lowering(sampler, k):
     while True:
-        J = sampler.operator(3, lowering=k)
+        J = random_operator(sampler, 3, lowering=k)
         lams = J.lambda_seq(k, 14)
         if all(v != 0 for v in lams):
             return J

@@ -7,15 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duorth import (DiffOperator, MomentForm, ParamSampler, Polynomial,
-                    Rational, dual_sequence, eigen_mps, operator_matrix,
-                    verify_eigen)
+                    Rational, dual_sequence, eigen_mps, verify_eigen)
 from duorth.eigensolver import transport_certificate
 from duorth.errors import (IdentityViolated, NonInvertible, OrderExceeded,
                            RepeatedEigenvalue)
 from duorth.poly import ONE, X
 from duorth.two_orth import MPSPrefix, check_biorthogonality
 
-from conftest import operators
+from conftest import OperatorMatrix, jimage_mps, operators, random_operator
 
 R = Rational
 
@@ -31,7 +30,7 @@ def rand_admissible(sampler, n_max, order=3):
     """Random operator of the given order with nonzero, pairwise-distinct
     lambdas."""
     while True:
-        J = sampler.operator(order)
+        J = random_operator(sampler, order)
         lams = J.lambda_seq(0, n_max)
         if all(v != 0 for v in lams) and len(set(lams)) == len(lams):
             return J
@@ -55,13 +54,13 @@ def gauss_solve(A, b):
 
 class TestOperatorMatrix:
     def test_identity(self):
-        M = operator_matrix(op([1]), 5)
+        M = OperatorMatrix(op([1]), 5)
         for t in range(6):
             for n in range(6):
                 assert M.entry(t, n) == (1 if t == n else 0)
 
     def test_euler_diagonal(self):
-        M = operator_matrix(EULER, 6)
+        M = OperatorMatrix(EULER, 6)
         assert M.diagonal() == [R(n + 1) for n in range(7)]
         for t in range(7):
             for n in range(t + 1, 7):
@@ -72,9 +71,9 @@ class TestOperatorMatrix:
         # orders 4 and 5 reach further below the diagonal than order 3
         for order, draws in ((3, 20), (4, 5), (5, 5)):
             for _ in range(draws):
-                J = sampler.operator(order)
+                J = random_operator(sampler, order)
                 assert J.order == order
-                M = operator_matrix(J, 9)
+                M = OperatorMatrix(J, 9)
                 for n in range(10):
                     image = J.apply(Polynomial.monomial(n))
                     for t in range(n + 1):
@@ -106,7 +105,7 @@ class TestEigenMps:
     def test_unique_vs_gaussian_oracle(self, sampler):
         for order in (3,) * 5 + (4, 4, 5, 5):
             J = rand_admissible(sampler, 8, order)
-            M = operator_matrix(J, 8)
+            M = OperatorMatrix(J, 8)
             P, lam = eigen_mps(J, 8)
             for n in range(1, 9):
                 # rows 0..n-1 of (M - lambda_n I) p = 0 with p_n = 1
@@ -120,7 +119,7 @@ class TestEigenMps:
         for _ in range(5):
             J = rand_admissible(sampler, 10)
             P, _ = eigen_mps(J, 10)
-            assert J.jimage_mps(P.polys, 0) == list(P.polys)
+            assert jimage_mps(J, P.polys, 0) == list(P.polys)
 
 
 class TestVerifyEigen:

@@ -1,10 +1,16 @@
 """Moment forms: action, left-multiplication, distributional derivative,
 order bookkeeping."""
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duorth import MomentForm, Polynomial, Rational
+from duorth import (DiffOperator, MomentForm, Polynomial, Rational,
+                    check_dual_identities, classical_system_check, dual_sequence,
+                    eigen_mps, fit_2orth_recurrence, intermediates,
+                    j_expansion_check, lemma_identities_check, phi_theorem4)
+from duorth.eigensolver import transport_certificate
 from duorth.errors import IdentityViolated, OrderExceeded
 from duorth.forms import require_equal
 from duorth.poly import X
@@ -134,3 +140,37 @@ def test_scalar_and_sum_ops():
     assert (2 * u).moments == (R(2), R(4))
     assert (-u).moments == (R(-1), R(-2))
     assert (u - u).is_zero()
+
+
+
+
+@pytest.fixture(scope="module")
+def theorem4_instance():
+    """The README's theorem-4 operator with its eigen-MPS, recurrence,
+    intermediates, classical system and duals u_0..u_5 to order 16."""
+    J = DiffOperator([Polynomial([2]), Polynomial([-1, 3]), Polynomial.zero(),
+                      Polynomial([1])])
+    P, lam = eigen_mps(J, 17)
+    it = intermediates(J, fit_2orth_recurrence(P))
+    return SimpleNamespace(J=J, P=P, lam=lam, it=it, system=phi_theorem4(it),
+                           duals=dual_sequence(P, 5, 16))
+
+
+# each check, run so that it asks its duals for order `need`
+ORDER_GUARDED = {
+    "check_dual_identities": lambda x, need: check_dual_identities(x.it.rc, x.duals, need - 1),
+    "j_expansion_check": lambda x, need: j_expansion_check(x.it, x.duals, need - 4),
+    "lemma_identities_check": lambda x, need: lemma_identities_check(x.it, x.duals, need - 4),
+    "classical_system_check": lambda x, need: classical_system_check(x.system, x.duals,
+                                                                     need - 3),
+    "transport_certificate": lambda x, need: transport_certificate(x.J, x.P, x.lam,
+                                                                   x.duals, need),
+}
+
+
+@pytest.mark.parametrize("check", ORDER_GUARDED)
+def test_duals_one_order_short_are_refused(theorem4_instance, check):
+    """Duals of order 16 are refused one order above it and accepted at it."""
+    with pytest.raises(OrderExceeded, match=r"^duals must carry order >= 17$"):
+        ORDER_GUARDED[check](theorem4_instance, 17)
+    ORDER_GUARDED[check](theorem4_instance, 16)

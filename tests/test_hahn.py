@@ -3,6 +3,7 @@ systems with their printed closed forms, the matrix functional equation,
 and the derivative-sequence test."""
 import pytest
 
+from conftest import random_mps, random_operator, random_recurrence
 from duorth import (DiffOperator, Intermediates, Polynomial, Rational,
                     classical_system_check, derivative_mps, dual_sequence,
                     eigen_mps, fit_2orth_recurrence, generate, hahn_check,
@@ -59,7 +60,7 @@ class TestIntermediates:
     def test_degree_bounds(self, sampler):
         for _ in range(6):
             rc = sampler.recurrence(8)
-            J = sampler.operator(3)
+            J = random_operator(sampler, 3)
             it = intermediates(J, rc)
             assert it.pbar0.degree <= 2 and it.pbar1.degree <= 1
             assert it.fbar0.degree <= 2 and it.fbar1.degree <= 2
@@ -101,7 +102,7 @@ def theorem4_generic_inputs(sampler):
     """Random rc with alpha_1 = 0 plus a matching operator with a generic
     admissible cubic a3 (not from an eigenproblem)."""
     while True:
-        rc = sampler.recurrence(8, alpha1_zero=True)
+        rc = random_recurrence(sampler, 8, alpha1_zero=True)
         a1 = R(-1, 3) / rc.gamma(1) * (X - Polynomial.constant(rc.beta(0)))
         a3 = sampler.poly(3)
         if a3.degree != 3:
@@ -165,7 +166,7 @@ class TestPhiTheorem4:
 def theorem5_generic_inputs(sampler):
     """Random rc with alpha_4 = alpha_2 gamma_3/gamma_2, generic degree-1 a2,
     generic nonzero tau."""
-    rc = sampler.recurrence(8, tie_alpha4=True)
+    rc = random_recurrence(sampler, 8, tie_alpha4=True)
     a1 = R(-1, 3) / rc.gamma(1) * (X - Polynomial.constant(rc.beta(0)))
     a2 = Polynomial([sampler.rat(), sampler.rat()])
     tau = sampler.rat()
@@ -194,7 +195,7 @@ class TestVarpiTheorem5:
         # alpha_2 = 0 and gamma_1 = gamma_2 kill the x-coefficient of varpi11
         from duorth import RecurrenceCoeffs
         while True:
-            rc0 = sampler.recurrence(8, tie_alpha4=True)
+            rc0 = random_recurrence(sampler, 8, tie_alpha4=True)
             g = rc0.gamma(1)
             alphas = (rc0.alphas[0], R(0)) + rc0.alphas[2:]
             gammas = (g, g) + rc0.gammas[2:]
@@ -303,7 +304,7 @@ class TestDerivativeMps:
         assert derivative_mps(P)[2] == Polynomial.monomial(2)
 
     def test_monicity(self, sampler):
-        P = sampler.mps_polys(8)
+        P = random_mps(sampler, 8)
         for q in derivative_mps(P):
             assert q.is_monic()
 

@@ -55,6 +55,19 @@ class TestTheorem4Pipeline:
         res = run_theorem4(J, moment_order=20, check_order=8)
         assert res.status == UNMET
 
+    def test_repeated_eigenvalue_is_unmet(self):
+        res = run_theorem4(DiffOperator([ONE]))
+        assert res.status == UNMET
+        assert res.failure == {"reason": "repeated eigenvalue",
+                               "witness": "lambda_1 = lambda_0: repeated eigenvalue"}
+
+    def test_nonzero_a2_is_unmet(self):
+        # 2-orthogonal eigen-MPS in scope, but theorem 4 needs a_2 = 0
+        J = DiffOperator([Polynomial([2]), Polynomial([-1, 3]), ONE, ONE])
+        res = run_theorem4(J)
+        assert res.status == UNMET
+        assert res.failure == {"reason": "a2 = 0", "witness": "1"}
+
 
 class TestTheorem5Pipeline:
     def test_qualifying_passes(self):

@@ -5,16 +5,17 @@ as before; the kernel primitives agree on int and Rational tuples; the
 operator matrix stores only its band."""
 from math import gcd
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from duorth import (DiffOperator, MomentForm, Polynomial, Rational,
-                    operator_matrix)
+from duorth import DiffOperator, MomentForm, Polynomial, Rational
 from duorth.backend import kernel
 from duorth.forms import combine
 from duorth.serialize import form_to_list, poly_to_list
 
-from conftest import operators, polynomials, rationals
+from conftest import (OperatorMatrix, lambda_sums, operators, polynomials,
+                      random_operator, rationals)
 
 R = Rational
 
@@ -173,16 +174,16 @@ def test_kernel_agrees_on_int_and_rational_tuples(a, b, s):
 
 
 def test_operator_matrix_stores_its_band(sampler):
-    """The band is integers over J's common denominator M.den."""
+    """J.band is integers over J's common denominator."""
     for order in (3, 4):
-        J = sampler.operator(order)
-        M = operator_matrix(J, 30)
+        J = random_operator(sampler, order)
+        M = OperatorMatrix(J, 30)
         assert M.den == J.integer_form()[1]
         assert all(type(e) is int for col in M.band for e in col)
         assert [len(col) for col in M.band] == [min(n, order) + 1 for n in range(31)]
         assert M.entry(0, 30) == 0
         assert M.entry(30 - order, 30) == R(M.band[30][order], M.den)
-    M = operator_matrix(DiffOperator([]), 3)
+    M = OperatorMatrix(DiffOperator([]), 3)
     assert M.diagonal() == [0] * 4
 
 
@@ -190,5 +191,22 @@ def test_operator_matrix_stores_its_band(sampler):
 @settings(max_examples=60, deadline=None)
 def test_operator_matrix_diagonal_is_lambda_seq(J, n):
     """Two independent paths to lambda: the band's diagonal and the
-    normalization scalars of lambda_seq."""
-    assert operator_matrix(J, n).diagonal() == J.lambda_seq(0, n)
+    direct normalization sums."""
+    assert OperatorMatrix(J, n).diagonal() == J.lambda_seq(0, n) == lambda_sums(J, 0, n)
+
+
+@given(operators(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_lambda_seq_is_a_band_superdiagonal(J, data):
+    """lambda_seq(k, count) reads the k-th superdiagonal of J.band; it
+    equals the direct sums for every k up to order + 1."""
+    k = data.draw(st.integers(min_value=0, max_value=max(J.order, 0) + 1))
+    count = data.draw(st.integers(min_value=0, max_value=10))
+    assert J.lambda_seq(k, count) == lambda_sums(J, k, count)
+
+
+def test_band_and_lambda_seq_refuse_a_shifted_operator(sampler):
+    J = random_operator(sampler, 3).shifted(1)
+    for read in (lambda: J.band(4), lambda: J.lambda_seq(0, 4)):
+        with pytest.raises(ValueError, match="band requires a normal-form operator"):
+            read()

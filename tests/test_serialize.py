@@ -1,6 +1,7 @@
 """Exact string/tree serialization round trips; floating point is refused."""
 import pytest
 
+from conftest import random_operator
 from duorth import MomentForm, Polynomial, Rational
 from duorth.serialize import (form_to_list, operator_from_tree,
                               operator_to_tree, poly_from_list, poly_to_list,
@@ -27,7 +28,7 @@ def test_poly_round_trip(sampler):
 
 
 def test_operator_round_trip(sampler):
-    J = sampler.operator(3)
+    J = random_operator(sampler, 3)
     tree = operator_to_tree(J)
     assert operator_from_tree(tree) == J
     # tree entry [nu][i] is the coefficient of x^i in a_nu

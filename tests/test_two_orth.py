@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rationals
+from conftest import random_mps, rationals, structure_rows
 from duorth import (MomentForm, MPSPrefix, ParamSampler, Polynomial, Rational,
                     RecurrenceCoeffs, check_dual_identities, dual_pairs,
                     dual_sequence, eigen_mps, expand_in_basis,
-                    fit_2orth_recurrence, generate, orthogonality_check,
-                    structure_rows)
+                    fit_2orth_recurrence, generate, orthogonality_check)
 from duorth.errors import (IdentityViolated, MissingCoefficient,
                            NotTwoOrthogonal, OrderExceeded, ZeroGamma)
 from duorth.poly import ONE, X
@@ -211,14 +210,14 @@ class TestDualMoments:
     def test_matches_basis_change_on_generic_mps(self, sampler):
         # an arbitrary MPS has full structure rows, not four terms
         for n_max in (4, 9, 13):
-            P = sampler.mps_polys(n_max)
+            P = random_mps(sampler, n_max)
             for k_max in (0, 3, n_max - 1):
                 assert (moments(dual_sequence(P, k_max, n_max - 1))
                         == moments(basis_change_duals(P, k_max, n_max - 1)))
 
     def test_matches_basis_change_at_full_index(self, sampler):
         P = generate(sampler.recurrence(12), 12)
-        Q = sampler.mps_polys(9)
+        Q = random_mps(sampler, 9)
         for seq, N in ((P, 12), (P, 0), (Q, 9)):
             assert (moments(dual_sequence(seq, N, N))
                     == moments(basis_change_duals(seq, N, N)))
