@@ -42,7 +42,7 @@ class DiffOperator:
     flagged and rejected by classify_order.
     """
 
-    __slots__ = ("a", "shifted_form", "_integer")
+    __slots__ = ("a", "shifted_form", "_integer", "_band")
 
     def __init__(self, coefficients: Sequence[Polynomial], *, _shifted: bool = False):
         coeffs = list(coefficients)
@@ -56,6 +56,7 @@ class DiffOperator:
         object.__setattr__(self, "a", tuple(coeffs))
         object.__setattr__(self, "shifted_form", _shifted)
         object.__setattr__(self, "_integer", None)
+        object.__setattr__(self, "_band", ())
 
     @property
     def order(self) -> int:
@@ -159,12 +160,15 @@ class DiffOperator:
         A term needs n - nu <= order, so only the band
         n - order <= tau <= n can be nonzero; column n holds it as
         band[n][n - tau], integers over J's common denominator den. The
-        diagonal holds lambda_n and the k-th superdiagonal lambda_{n+k}^[k]."""
+        diagonal holds lambda_n and the k-th superdiagonal lambda_{n+k}^[k].
+
+        Columns are tuples, kept by the operator once built: a later call
+        extends them when it reaches further and reads a prefix otherwise."""
         if self.shifted_form:
             raise ValueError("band requires a normal-form operator")
         (a, den), order = self.integer_form(), max(self.order, 0)
-        band = []
-        for n in range(n_max + 1):
+        cols = []
+        for n in range(len(self._band), n_max + 1):
             low = max(0, n - order)
             col = []
             for tau in range(n, low - 1, -1):
@@ -175,8 +179,10 @@ class DiffOperator:
                     if tau - nu < len(coeffs) and coeffs[tau - nu]:
                         acc += comb(n, nu) * coeffs[tau - nu]
                 col.append(acc)
-            band.append(col)
-        return band, den
+            cols.append(tuple(col))
+        if cols:
+            object.__setattr__(self, "_band", self._band + tuple(cols))
+        return self._band[: n_max + 1], den
 
     def lambda_seq(self, k: int, count: int) -> list:
         """[lambda_{n+k}^[k] for n = 0..count], the order-k normalization

@@ -98,17 +98,19 @@ class RecurrenceCoeffs:
 
 class MPSPrefix:
     """A monic polynomial sequence prefix: entry n has degree exactly n.
-    Its structure rows are kept once computed (see structure_row)."""
+    Its structure rows are kept once computed (see structure_row). A
+    caller that has rows 0..len(rows) - 1 already, exactly as
+    structure_row would compute them, passes them (eigen_mps does)."""
 
     __slots__ = ("polys", "_rows")
 
-    def __init__(self, polys: Sequence[Polynomial]):
+    def __init__(self, polys: Sequence[Polynomial], rows: Sequence[tuple] = ()):
         ps = tuple(polys)
         for n, p in enumerate(ps):
             if p.degree != n or not p.is_monic():
                 raise ValueError(f"entry {n} is not monic of degree {n}")
         object.__setattr__(self, "polys", ps)
-        object.__setattr__(self, "_rows", ())
+        object.__setattr__(self, "_rows", tuple(rows))
 
     def __len__(self):
         return len(self.polys)
@@ -202,7 +204,9 @@ def structure_row(P: MPSPrefix, k: int) -> tuple:
     2-orthogonal. A row costs O(k) when it is four-term (see _row) and a
     full expansion over P when it is not. It is computed on first request
     together with any row before it, and kept by P; row k is the same over
-    every prefix of P that holds P_{k+1}."""
+    every prefix of P that holds P_{k+1}. An eigen-MPS comes with the rows
+    that eigen_mps's recurrence produced, so only rows from its first
+    failing one on are computed here."""
     rows = P._rows
     while len(rows) <= k:
         rows += (_row(P, len(rows)),)

@@ -128,3 +128,28 @@ def lambda_sums(J: DiffOperator, k: int, count: int) -> list:
     return [sum((comb(n + k, nu) * J.coef(n - nu, n + k - nu) for nu in range(n + 1)),
                 Rational(0))
             for n in range(count + 1)]
+
+
+def apply_matrix(J: DiffOperator, n_max: int) -> list:
+    """M[tau][m] = coefficient of x^tau in J.apply(x^m), tau, m <= n_max, as
+    Rationals: J's matrix read off its action, independently of J.band."""
+    images = [J.apply(Polynomial.monomial(m)) for m in range(n_max + 1)]
+    return [[images[m][tau] for m in range(n_max + 1)] for tau in range(n_max + 1)]
+
+
+def eigen_reference(M) -> tuple:
+    """(P, lambdas): the monic eigenvectors of the upper-triangular M by
+    back-substitution over Rationals, c_tau = sum_{m > tau} M[tau][m] c_m /
+    (lambda_n - lambda_tau); None unless the diagonal is nonzero and
+    pairwise distinct."""
+    lam = [M[n][n] for n in range(len(M))]
+    if 0 in lam or len(set(lam)) < len(lam):
+        return None
+    polys = []
+    for n in range(len(M)):
+        c = [Rational(0)] * n + [Rational(1)]
+        for tau in range(n - 1, -1, -1):
+            c[tau] = sum((M[tau][m] * c[m] for m in range(tau + 1, n + 1)),
+                         Rational(0)) / (lam[n] - lam[tau])
+        polys.append(Polynomial(c))
+    return polys, lam

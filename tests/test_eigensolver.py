@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from duorth import (DiffOperator, MomentForm, ParamSampler, Polynomial,
                     Rational, dual_sequence, eigen_mps, verify_eigen)
 from duorth.eigensolver import transport_certificate
-from duorth.errors import (IdentityViolated, NonInvertible, OrderExceeded,
-                           RepeatedEigenvalue)
+from duorth.errors import (IdentityViolated, NonInvertible, NotTwoOrthogonal,
+                           OrderExceeded, RepeatedEigenvalue)
 from duorth.poly import ONE, X
-from duorth.two_orth import MPSPrefix, check_biorthogonality
+from duorth.two_orth import (MPSPrefix, check_biorthogonality,
+                             fit_2orth_recurrence, structure_row)
 
-from conftest import OperatorMatrix, jimage_mps, operators, random_operator
+from conftest import (OperatorMatrix, apply_matrix, eigen_reference,
+                      jimage_mps, operators, random_operator)
 
 R = Rational
 
@@ -245,3 +247,62 @@ class TestTransportCertificate:
         duals = dual_sequence(P, 5, 7)
         with pytest.raises(OrderExceeded):
             transport_certificate(EULER, P, lam, duals, 8)
+
+
+def _fit(P):
+    """fit_2orth_recurrence(P), or its witness (index, reason)."""
+    try:
+        return fit_2orth_recurrence(P)
+    except NotTwoOrthogonal as exc:
+        return exc.index, exc.reason
+
+
+class TestRecurrencePass:
+    """eigen_mps builds P by its structure rows while they are four-term and
+    back-substitutes the rest. Against a reference that solves J.apply's
+    matrix over Rationals without J.band: the same P and lambdas, the rows
+    it keeps are the structure rows of P, they stop exactly before the
+    first row that is not four-term, and the fit reads the same recurrence
+    or names the same witness."""
+
+    @staticmethod
+    def check(J, N):
+        P, lam = eigen_mps(J, N)
+        assert (list(P), lam) == eigen_reference(apply_matrix(J, N))
+        fresh = MPSPrefix(P.polys)
+        rows = [structure_row(fresh, k) for k in range(N)]
+        failing = next((k for k, row in enumerate(rows)
+                        if any(j < k - 2 for j, _ in row)), N)
+        assert P._rows == tuple(rows[:failing])
+        assert _fit(P) == _fit(MPSPrefix(P.polys))
+
+    @given(operators().map(lambda J: _isomorphism(J, 12)))
+    @settings(max_examples=60, deadline=None)
+    def test_random_operators(self, J):
+        self.check(J, 12)
+
+    @pytest.mark.parametrize("shape, J", _theorem_draws(24),
+                             ids=[name for name, _ in _theorem_draws(24)])
+    def test_sampler_shapes(self, shape, J):
+        self.check(J, 24)
+
+    def test_corrupted_band_is_back_substituted(self, monkeypatch):
+        # 1 added to M[11][12] of the README theorem-4 operator: P_0..P_11
+        # keep their values, row 11 is no longer four-term, and every degree
+        # must be the back-substitution of the corrupted band; P_12 built
+        # from row 11's top three terms alone would differ
+        band = DiffOperator.band
+
+        def corrupted(J, n_max):
+            cols, den = band(J, n_max)
+            if len(cols) > 12:
+                c = cols[12]
+                cols = cols[:12] + ((c[0], c[1] + 1) + c[2:],) + cols[13:]
+            return cols, den
+        monkeypatch.setattr(DiffOperator, "band", corrupted)
+        J = op([2], [-1, 3], [], [1])
+        P, lam = eigen_mps(J, 20)
+        M = OperatorMatrix(J, 20)
+        assert (list(P), lam) == eigen_reference(
+            [[M.entry(t, m) for m in range(21)] for t in range(21)])
+        assert len(P._rows) == 11

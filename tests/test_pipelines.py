@@ -633,7 +633,9 @@ def test_report_bytes_pinned(run, status, digest):
 class TestOneExpansionPerSequence:
     """The fit and the duals read the same structure rows: each row of a
     sequence is computed once per verdict, a four-term row without a full
-    expansion, and no row after the first that is not four-term."""
+    expansion, and no row after the first that is not four-term. The rows
+    of an eigen-MPS come from eigen_mps's recurrence, so only its first
+    row that is not four-term is computed here."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -659,19 +661,20 @@ class TestOneExpansionPerSequence:
         assert counts == ([(21, k) for k in range(20)], [])
 
     def test_theorem4(self, counts):
-        # the eigen-MPS P_0..P_28 has 28 rows; the Hahn test fits the
-        # derivative MPS of P_0..P_11, Q_0..Q_10, with 10 rows
+        # the 28 rows of the eigen-MPS P_0..P_28 come with it; the Hahn
+        # test fits the derivative MPS of P_0..P_11, Q_0..Q_10, with 10 rows
         res = run_theorem4(README_J, moment_order=28, check_order=14)
         assert res.status == PASSED
-        assert counts == ([(29, k) for k in range(28)] + [(11, k) for k in range(10)], [])
+        assert counts == ([(11, k) for k in range(10)], [])
 
     def test_generic_cubic_stops_at_row_4(self, counts):
         # the row of x P_4 has a nonzero entry at P_1 (witness index 3):
-        # rows 0..4 and one full expansion, none of the rows 5..39
+        # rows 0..3 come with the eigen-MPS, row 4 is one full expansion,
+        # and none of the rows 5..39 is computed
         res = run_theorem4(_first_theorem4_draw("generic-cubic"))
         assert res.status == UNMET
         assert res.failure["witness"].startswith("index 3: chi_{3,1} = ")
-        assert counts == ([(41, k) for k in range(5)], [41])
+        assert counts == ([(41, 4)], [41])
 
 
 class TestOneIntermediatesPerVerdict:

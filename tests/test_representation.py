@@ -205,6 +205,21 @@ def test_lambda_seq_is_a_band_superdiagonal(J, data):
     assert J.lambda_seq(k, count) == lambda_sums(J, k, count)
 
 
+@given(operators(), st.lists(st.integers(min_value=0, max_value=12),
+                             min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_band_is_kept_and_extended(J, reads):
+    """J keeps the longest band it has built: reads in any order equal the
+    band of a fresh operator, as tuples, and a shorter read returns the
+    kept columns themselves."""
+    for n in reads:
+        band = J.band(n)
+        assert band == DiffOperator(J.a).band(n)
+        assert type(band[0]) is tuple and all(type(col) is tuple for col in band[0])
+    kept = J.band(max(reads))[0]
+    assert all(a is b for a, b in zip(J.band(min(reads))[0], kept))
+
+
 def test_band_and_lambda_seq_refuse_a_shifted_operator(sampler):
     J = random_operator(sampler, 3).shifted(1)
     for read in (lambda: J.band(4), lambda: J.lambda_seq(0, 4)):
