@@ -8,18 +8,14 @@ from row k of the structure rows x P_k = sum_j chi_{k,j} P_j, which
 J - lambda_{k+1} reads off P_0..P_k. While the rows are four-term, as
 they are exactly when the sequence is 2-orthogonal, a step is O(r k)
 small-by-big products for r the operator's order, and the rows are kept
-for the fit and the duals. From the first row that is not four-term on,
-the degrees left come out of a banded triangular back-substitution.
+for the fit. From the first row that is not four-term on, the degrees
+left come out of a banded triangular back-substitution. The prefix also
+carries J, so two_orth.dual_sequence builds its duals by J's transposed
+band recurrence.
 
 verify_eigen checks J(P_n) = lambda_n P_n by one unreduced integer pass
 per n and builds reduced polynomials only for the witness of a failing n,
 so its witness bytes are those of a check on reduced polynomials.
-transport_certificate uses that pass and the eigen transport
-J^T u_k = lambda_k u_k to certify the duals' biorthogonality to N. It
-needs one transpose per dual and 6 (t + 1) pairings, where pairing to N
-needs 6 (N + 1). It certifies or refuses and never names a witness: on a
-refusal the operator pipeline pairs to N and runs verify_eigen to the
-check order, and those name the witness.
 """
 from __future__ import annotations
 
@@ -29,11 +25,10 @@ from operator import add, mul
 from .backend import Rat as Rational
 from .diffop import DiffOperator
 from .errors import IdentityViolated, NonInvertible, RepeatedEigenvalue
-from .forms import require_order
 from .poly import ONE, Polynomial
 from .two_orth import MPSPrefix
 
-__all__ = ["eigen_mps", "verify_eigen", "transport_certificate"]
+__all__ = ["eigen_mps", "verify_eigen"]
 
 
 def eigen_mps(J: DiffOperator, n_max: int):
@@ -43,7 +38,7 @@ def eigen_mps(J: DiffOperator, n_max: int):
     distinct up to n_max (RepeatedEigenvalue otherwise: the monic
     eigenpolynomial of degree n would not be guaranteed unique); both are
     read off the band's integer diagonal before any polynomial is built.
-    Returns (MPSPrefix, [lambda_0..lambda_n_max]).
+    Returns (MPSPrefix, [lambda_0..lambda_n_max]); the prefix carries J.
 
     P_{k+1} comes from P_0..P_k by the four-term recurrence that row k of
     x P_k = sum_j chi_{k,j} P_j gives (_recurrence_step), and the prefix
@@ -77,7 +72,7 @@ def eigen_mps(J: DiffOperator, n_max: int):
         rows.append(step[0])
         polys.append(step[1])
     polys += [_back_substitute(band, order, n) for n in range(len(polys), n_max + 1)]
-    return MPSPrefix(polys, rows), [Rational(col[0], den) for col in band]
+    return MPSPrefix(polys, rows, J), [Rational(col[0], den) for col in band]
 
 
 def _recurrence_step(P, diags, k):
@@ -162,17 +157,20 @@ def _residual(v, shift, diags):
     return acc
 
 
-def _first_eigen_failure(J: DiffOperator, P, lambdas):
-    """The first n with J(P_n) != lambda_n P_n, or None.
+def verify_eigen(J: DiffOperator, P, lambdas) -> None:
+    """Check J(P_n) = lambda_n P_n exactly for every n in range (J in
+    normal form); raise IdentityViolated (tag eigen-relation) at the first
+    n that fails.
 
     One unreduced integer pass per n over the band of J: with p = P_n.nums,
     (J P_n)_tau = sum_d band[tau + d][d] p_(tau + d) / (den P_n.den), so for
     lambda_n = r/s the relation holds iff, for every tau,
     (s band[tau][0] - r den) p_tau + sum_{d >= 1} s band[tau + d][d] p_(tau + d)
     vanishes. Each diagonal of the band is one product of small integers
-    with the big p; no image is reduced."""
+    with the big p; only the failing n builds its reduced J(P_n) and
+    lambda_n P_n, the witness."""
     if not len(P):
-        return None
+        return
     band, den = J.band(max(len(p.nums) for p in P) - 1)
     diags = _diagonals(band, J.order)
     scaled = {}  # s -> the diagonals times s, built once per denominator
@@ -181,47 +179,5 @@ def _first_eigen_failure(J: DiffOperator, P, lambdas):
         if s not in scaled:
             scaled[s] = [(d, [s * e for e in diag]) for d, diag in diags]
         if any(_residual(p.nums, r * den, scaled[s])):
-            return n
-    return None
-
-
-def verify_eigen(J: DiffOperator, P, lambdas) -> None:
-    """Check J(P_n) = lambda_n P_n exactly for every n in range (J in
-    normal form); raise IdentityViolated (tag eigen-relation) at the first
-    n that fails. The check cross-multiplies integers; only the failing n
-    builds its reduced J(P_n) and lambda_n P_n, the witness."""
-    n = _first_eigen_failure(J, P, lambdas)
-    if n is not None:
-        raise IdentityViolated("eigen-relation", f"n={n}", J.apply(P[n]),
-                               lambdas[n] * P[n])
-
-
-def transport_certificate(J: DiffOperator, P, lambdas, duals, N: int) -> dict:
-    """Certify <u_k, P_m> = delta_km for every dual u_k and every m <= N by
-    the eigen transport J^T u_k = lambda_k u_k: the map u_k -> J^T u_k when
-    every step holds, {} when one fails (the pairings then name a witness).
-    The duals must carry order >= N.
-
-    With t = J.max_coeff_degree(), J^T u_k is reliable to N - t. If the
-    lambdas read are pairwise distinct, J P_m = lambda_m P_m for m <= N - t
-    and (J^T u_k)_j = lambda_k (u_k)_j for j <= N - t, then
-    (lambda_m - lambda_k) <u_k, P_m> = <J^T u_k - lambda_k u_k, P_m> = 0, so
-    <u_k, P_m> = 0 for m <= N - t, m != k. The pairings left, <u_k, P_k> = 1
-    and the top t values of m, are made directly. On an eigen-MPS
-    (distinct diagonal) the certificate holds exactly when the pairings to
-    N and the eigen relation to N - t both do."""
-    require_order(duals, N)
-    top = N - J.max_coeff_degree()
-    lam = lambdas[: max(top + 1, len(duals))]
-    if len(set(lam)) < len(lam) or _first_eigen_failure(J, P[: top + 1], lam) is not None:
-        return {}
-    images = {u: J.transpose_apply(u) for u in duals}
-    for k, u in enumerate(duals):
-        w = images[u]
-        a, b = lam[k].denominator * u.den, lam[k].numerator * w.den
-        if any(a * x != b * y for x, y in zip(w.nums[: top + 1], u.nums)):
-            return {}
-        for m in {k, *range(top + 1, N + 1)}:
-            if u.act(P[m]) != (1 if m == k else 0):
-                return {}
-    return images
+            raise IdentityViolated("eigen-relation", f"n={n}", J.apply(P[n]),
+                                   lambdas[n] * P[n])

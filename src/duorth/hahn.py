@@ -113,14 +113,11 @@ def intermediates(J: DiffOperator, rc: RecurrenceCoeffs) -> Intermediates:
 
 
 def j_expansion_check(it: Intermediates, duals: Sequence[MomentForm],
-                      M: int, transposes=None) -> Report:
+                      M: int) -> Report:
     """Verify the four shifted-transpose expansions (tags Eq-9.1..Eq-9.4),
     the eigen transport J(u_n) = lambda_n u_n on the available duals, and
     the source identities Eq-7.1, Eq-7.2, Eq-8.1, Eq-8.2, all moment-wise
-    to order M. Needs duals u_0..u_5 carrying order >= M + 4. transposes
-    maps a form u to J^T u computed already (the map that
-    eigensolver.transport_certificate returns); a dual it lacks is
-    transposed here."""
+    to order M. Needs duals u_0..u_5 carrying order >= M + 4."""
     if len(duals) < 6:
         raise ValueError("need the duals u_0..u_5")
     require_order(duals[:6], M + 4)
@@ -128,10 +125,8 @@ def j_expansion_check(it: Intermediates, duals: Sequence[MomentForm],
     u0, u1 = duals[0], duals[1]
     report = Report("j-expansions")
 
-    transposes = transposes or {}
     for n, u in enumerate(duals[:6]):
-        require_equal(transposes.get(u) or J.transpose_apply(u), lam[n] * u, M,
-                      f"Eq-J(u_n)(n={n})")
+        require_equal(J.transpose_apply(u), lam[n] * u, M, f"Eq-J(u_n)(n={n})")
         report.add(f"Eq-J(u_n)(n={n})", horizon=M)
 
     # jets[nu][j] = J^(j)(u_nu), with J^(0)(u_nu) = lambda_nu u_nu

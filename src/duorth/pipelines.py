@@ -14,16 +14,13 @@ lhs and rhs). Orders outside moment_order >= 6 and
 0 <= check_order <= moment_order - 4 raise ValueError before any work; a
 theorem run checks Hahn's property to min(10, moment_order - 1).
 
-The duals' biorthogonality is certified in two ways. An operator run
-certifies it to moment_order by the eigen transport: the eigen relation
-to moment_order - t (t the largest coefficient degree of J), one
-transpose per dual, and direct pairings only for m = k and the top t
-values of m (eigensolver.transport_certificate). That also certifies the
-eigen relation to check_order, and Eq-J(u_n) reuses the transposes. If
-any of these steps fails, the run pairs every dual to moment_order and
-then runs verify_eigen to check_order; those checks name the first
-failing pair or n. run_identities_rc has no operator and always
-certifies by pairing. It needs moment_order >= 8.
+The duals' biorthogonality holds by construction on an operator run:
+dual_sequence builds them from J's transposed band recurrence on the
+eigen-MPS, whose distinct lambdas and eigen relation to moment_order
+eigen_mps has established. verify_eigen then checks the eigen relation
+of the lambdas the report prints to check_order. run_identities_rc has
+no operator, and dual_sequence certifies its duals by pairing them to
+moment_order. It needs moment_order >= 8.
 
 On both routes the d = 2 orthogonality rows (m <= 2) are then certified
 by the dual recurrence R_0..R_3 on those certified duals: the forms that
@@ -40,16 +37,16 @@ from itertools import tee
 from .diffop import DiffOperator
 from .errors import (HypothesisViolated, IdentityViolated, NonInvertible,
                      NotTwoOrthogonal, RepeatedEigenvalue)
-from .eigensolver import eigen_mps, transport_certificate, verify_eigen
+from .eigensolver import eigen_mps, verify_eigen
 from .hahn import (check_scope, classical_system_check, hahn_check,
                    intermediates, j_expansion_check, lemma_identities_check,
                    phi_theorem4, varpi_theorem5)
 from .reporting import Report
 from .sampling import ParamSampler
 from .serialize import operator_to_tree, poly_to_list, rat_to_str
-from .two_orth import (RecurrenceCoeffs, check_biorthogonality,
-                       check_dual_identities, dual_recurrence, dual_sequence,
-                       fit_2orth_recurrence, generate, orthogonality_check)
+from .two_orth import (RecurrenceCoeffs, check_dual_identities,
+                       dual_recurrence, dual_sequence, fit_2orth_recurrence,
+                       generate, orthogonality_check)
 
 __all__ = ["InstanceResult", "run_theorem4", "run_theorem5",
            "run_identities_rc", "run_identities_operator", "run_sweep"]
@@ -145,21 +142,11 @@ def _drive(name, J, moment_order, check_order, hypotheses=None):
             report.add("scope(beta0,gamma1)", detail="fitted values match implied")
         it = intermediates(J, rc)
         system = hypotheses(it, report) if hypotheses else None
-        # the eigen transport certifies the duals and the eigen relation;
-        # if it refuses, the pairings and verify_eigen run and name a witness
-        transposes = {}
-
-        def certify(P, duals, N):
-            transposes.update(transport_certificate(J, P, lam, duals, N))
-            if not transposes:
-                check_biorthogonality(P, duals, N)
-
-        duals = dual_sequence(P, 5, moment_order, certify)
-        if not transposes:
-            verify_eigen(J, P[: check_order + 1], lam)
+        duals = dual_sequence(P, 5, moment_order)
+        verify_eigen(J, P[: check_order + 1], lam)
         report.add("eigen-relation", horizon=check_order)
         _recurrence_checks(rc, P, duals, check_order, report)
-        report.merge(j_expansion_check(it, duals, check_order, transposes))
+        report.merge(j_expansion_check(it, duals, check_order))
         report.merge(lemma_identities_check(it, duals[:2], check_order))
         if not hypotheses:
             return InstanceResult(PASSED, report)
@@ -172,6 +159,11 @@ def _drive(name, J, moment_order, check_order, hypotheses=None):
                                    "2-orthogonal")
         report.add("Hahn", horizon=horizon)
         report.merge(classical_system_check(system, duals[:2], check_order))
+        # the fitted prefix that extras prints regenerates P_0..P_top
+        top = min(8, moment_order)
+        for n, (got, want) in enumerate(zip(generate(rc, top), P)):
+            if got != want:
+                raise IdentityViolated("fitted-rc-prefix", f"P_{n}", got, want)
     except HypothesisViolated as exc:
         return _unmet(report, exc.hypothesis, exc.witness)
     except IdentityViolated as exc:

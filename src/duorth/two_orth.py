@@ -4,15 +4,16 @@ Generation from recurrence coefficients; the structure rows of an MPS,
 the expansions x P_k = sum_j chi_{k,j} P_j, each computed once per
 sequence when first read: an O(k) four-term check, and a full expansion
 only of a row that fails it. The four-term-recurrence fit reads them up
-to the first row that fails, the dual-sequence moments run forward
-through them in O(N^2) and are certified by biorthogonality (by pairing,
-or by a certify the caller passes, such as the eigen transport); the
-dual recurrence run on polynomial pairs (dual_pairs: u_k = c0 u_0 + c1 u_1,
-the E/A/B/F pairs over the regular vector), and the moment-level identity
-checks for the dual recurrence, the decompositions and the orthogonality
-conditions. On certified duals the orthogonality zeros follow from the dual
-recurrence (orthogonality_certificate), so only their regularity pairings
-are computed.
+to the first row that fails. The dual sequence of an eigen-MPS that
+carries its operator J is built by J's transposed band recurrence and is
+biorthogonal by construction; any other sequence's duals run forward
+through its structure rows in O(N^2) and are certified by pairing. Then
+the dual recurrence run on polynomial pairs (dual_pairs: u_k = c0 u_0 +
+c1 u_1, the E/A/B/F pairs over the regular vector), and the moment-level
+identity checks for the dual recurrence, the decompositions and the
+orthogonality conditions. On certified duals the orthogonality zeros
+follow from the dual recurrence (orthogonality_certificate), so only their
+regularity pairings are computed.
 """
 from __future__ import annotations
 
@@ -100,17 +101,22 @@ class MPSPrefix:
     """A monic polynomial sequence prefix: entry n has degree exactly n.
     Its structure rows are kept once computed (see structure_row). A
     caller that has rows 0..len(rows) - 1 already, exactly as
-    structure_row would compute them, passes them (eigen_mps does)."""
+    structure_row would compute them, passes them (eigen_mps does).
+    eigen_mps also passes the operator J whose eigen-MPS this is, with
+    pairwise distinct lambdas to len - 1; dual_sequence then builds the
+    duals from J's band."""
 
-    __slots__ = ("polys", "_rows")
+    __slots__ = ("polys", "_rows", "operator")
 
-    def __init__(self, polys: Sequence[Polynomial], rows: Sequence[tuple] = ()):
+    def __init__(self, polys: Sequence[Polynomial], rows: Sequence[tuple] = (),
+                 operator=None):
         ps = tuple(polys)
         for n, p in enumerate(ps):
             if p.degree != n or not p.is_monic():
                 raise ValueError(f"entry {n} is not monic of degree {n}")
         object.__setattr__(self, "polys", ps)
         object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "operator", operator)
 
     def __len__(self):
         return len(self.polys)
@@ -256,25 +262,23 @@ def check_biorthogonality(P, duals, m_max: int):
                                        val, want)
 
 
-def dual_sequence(P, k_max: int, N: int, certify=check_biorthogonality) -> list:
-    """[u_0, .., u_{k_max}] to order N, with (u_k)_n = c_{n,k} where
-    x^n = sum_k c_{n,k} P_k.
+def dual_sequence(P, k_max: int, N: int) -> list:
+    """[u_0, .., u_{k_max}] to order N: the forms with <u_k, P_m> = delta_km
+    for every m <= N, which fix them uniquely.
 
-    The rows run forward, c_{n+1,j} = sum_k c_{n,k} chi_{k,j}, through the
-    expansions x P_k = sum_j chi_{k,j} P_j: the transpose of the four-term
-    recurrence when P is 2-orthogonal. Before the list is returned,
-    certify(P, duals, N) must certify <u_k, P_m> = delta_km for every
-    m <= N, which fixes the duals uniquely, or raise. By default it pairs
-    each dual with each P_m and raises IdentityViolated "biorthogonality"
-    at the first failing pair. The operator pipeline passes a certify
-    that tries the eigen transport (eigensolver.transport_certificate)
-    and pairs only when the transport fails, so the pairings name the
-    witness."""
+    When P carries its operator J (eigen_mps returns such a prefix), the
+    duals come from J's transposed band recurrence, biorthogonal by
+    construction (_transport_duals). Otherwise (u_k)_n = c_{n,k} where
+    x^n = sum_k c_{n,k} P_k: the rows c_{n+1,j} = sum_k c_{n,k} chi_{k,j}
+    run forward through the structure rows, and check_biorthogonality
+    pairs each dual with each P_m, m <= N."""
     if k_max > N:
         raise OrderExceeded(f"dual index {k_max} exceeds requested order {N}")
     if len(P) <= N:
         raise OrderExceeded(f"need P_0..P_{N}, got {len(P)} polynomials")
     P = _as_prefix(P)
+    if P.operator is not None:
+        return [_transport_duals(P.operator, k, N) for k in range(k_max + 1)]
     # the rows run over integers: chi scaled to one denominator L, each
     # row c_n as (nums, den) reduced once
     chi = [structure_row(P, k) for k in range(N)]
@@ -293,8 +297,37 @@ def dual_sequence(P, k_max: int, N: int, certify=check_biorthogonality) -> list:
     duals = [MomentForm.from_pair(tuple([nums[k] * (D // den) if k < len(nums) else 0
                                          for nums, den in rows]), D)
              for k in range(k_max + 1)]
-    certify(P, duals, N)
+    check_biorthogonality(P, duals, N)
     return duals
+
+
+def _transport_duals(J, k: int, N: int) -> MomentForm:
+    """u_k to order N for the eigen-MPS of J, from J^T u_k = lambda_k u_k.
+
+    <J^T u, x^n> = sum_d band[n][d] (u)_(n-d) / den reads moments up to n
+    only, so (u_k)_j = delta_jk for j <= k and, for k < n <= N,
+    (band[n][0] - band[k][0]) (u_k)_n = -sum_{d>=1} band[n][d] (u_k)_(n-d).
+    These are the duals: eigen_mps has shown that lambda_0..lambda_N are
+    distinct and J P_m = lambda_m P_m for m <= N, so (lambda_m - lambda_k)
+    <u_k, P_m> = <J^T u_k - lambda_k u_k, P_m> = 0, the low moments give
+    <u_k, P_m> = 0 for m < k and the monic P_k <u_k, P_k> = 1. Fraction-free
+    (Bareiss): x_n = (u_k)_n prod_{k<m<=n} (band[m][0] - band[k][0]) takes
+    at most J.order small-by-big products, and u_k is reduced once."""
+    band = J.band(N)[0]
+    diff = [col[0] - band[k][0] for col in band]
+    x = [0] * k + [1]
+    for n in range(k + 1, N + 1):
+        acc, f = 0, 1
+        for d in range(1, min(J.order, n - k) + 1):
+            if d > 1:
+                f *= diff[n - d + 1]
+            acc -= band[n][d] * f * x[n - d]
+        x.append(acc)
+    nums, prod = [0] * (N + 1), 1
+    for n in range(N, k - 1, -1):
+        nums[n] = x[n] * prod
+        prod *= diff[n]
+    return MomentForm.from_pair(tuple(nums), nums[k])
 
 
 def dual_pairs(rc: RecurrenceCoeffs, k_max: int) -> list:

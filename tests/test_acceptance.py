@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the summary lines.
 import json
 import time
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -232,6 +233,6 @@ def test_criterion_7_determinism(theorem4_sweep, tmp_path):
             "--draws", "6", "--out"]
     assert cli_main(args + [out1]) == 0
     assert cli_main(args + [out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
     _announce(7, started, "full-size sweep rerun and CLI report files "
                           "byte-identical")

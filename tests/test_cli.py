@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +26,7 @@ class TestClassify:
         cfg = write_config(tmp_path, "d.json", {"operator": [["0"], ["1"]]})
         out = str(tmp_path / "report.json")
         assert run_cli(["classify", "--config", cfg, "--out", out]) == 0
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         res = report["results"]
         assert res["k"] == 1
         assert res["lambda"][:3] == ["1", "2", "3"]
@@ -40,7 +41,7 @@ class TestClassify:
                            {"operator": [[], ["1"], ["0", "0", "1"]]})
         out = str(tmp_path / "report.json")
         assert run_cli(["classify", "--config", cfg, "--out", out]) == 0
-        assert json.loads(open(out).read())["results"]["classified"] is False
+        assert json.loads(Path(out).read_text())["results"]["classified"] is False
 
 
 class TestEigensolve:
@@ -49,7 +50,7 @@ class TestEigensolve:
         out = str(tmp_path / "report.json")
         assert run_cli(["eigensolve", "--config", cfg, "--nmax", "5",
                         "--out", out]) == 0
-        res = json.loads(open(out).read())["results"]
+        res = json.loads(Path(out).read_text())["results"]
         assert res["lambda"] == ["1", "2", "3", "4", "5", "6"]
         assert res["polynomials"][2] == ["0", "0", "1"]
         assert res["two_orthogonal"] is False
@@ -60,7 +61,7 @@ class TestEigensolve:
             ["15/13"], ["-4/5", "11/8"], [], ["18/5", "2/3", "7/13", "-9/14"]]})
         out = str(tmp_path / "report.json")
         assert run_cli(["eigensolve", "--config", cfg, "--out", out]) == 0
-        res = json.loads(open(out).read())["results"]
+        res = json.loads(Path(out).read_text())["results"]
         assert res["two_orthogonal"] is False
         assert res["fit_failure"] == {
             "index": 3, "reason": "chi_{3,1} = 45471211770034624/1746873676153125 != 0"}
@@ -76,7 +77,7 @@ class TestEigensolve:
         out = str(tmp_path / "report.json")
         assert run_cli(["eigensolve", "--config", cfg, "--out", out]) == 0
         assert capsys.readouterr().out == "eigensolve: solved to n=12; 2-orthogonal\n"
-        res = json.loads(open(out).read())["results"]
+        res = json.loads(Path(out).read_text())["results"]
         assert res["two_orthogonal"] is True
         assert sorted(res["recurrence"]) == ["alpha", "beta", "gamma"]
         assert res["recurrence"]["alpha"][0] == "0"
@@ -89,7 +90,7 @@ class TestTheoremModes:
                             "moment_order": 28, "check_order": 14})
         out = str(tmp_path / "report.json")
         assert run_cli(["verify-theorem4", "--config", cfg, "--out", out]) == 0
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         assert report["results"]["status"] == "passed"
         assert report["results"]["extras"]["fitted_rc_prefix"]["alpha"][0] == "0"
 
@@ -117,7 +118,7 @@ class TestTheoremModes:
         assert run_cli(["verify-theorem4", "--config", cfg, "--order", "28",
                         "--check-order", "20", "--out", out]) == 0
         horizons = {item["tag"]: item.get("horizon") for item in
-                    json.loads(open(out).read())["results"]["report"]["items"]}
+                    json.loads(Path(out).read_text())["results"]["report"]["items"]}
         assert horizons["eigen-relation"] == 20
 
     def test_low_order_uses_default_hahn_horizon(self, tmp_path):
@@ -127,7 +128,7 @@ class TestTheoremModes:
         out = str(tmp_path / "report.json")
         assert run_cli(["verify-theorem4", "--config", cfg, "--order", "10",
                         "--check-order", "6", "--out", out]) == 0
-        assert json.loads(open(out).read())["results"]["extras"]["hahn"] == {
+        assert json.loads(Path(out).read_text())["results"]["extras"]["hahn"] == {
             "positive": True, "horizon": 9}
         assert run_cli(["sweep", "--target", "verify-theorem4", "--seed", "11",
                         "--draws", "2", "--order", "8", "--check-order", "4",
@@ -139,7 +140,7 @@ class TestTheoremModes:
                             "moment_order": 28, "check_order": 14})
         out = str(tmp_path / "report.json")
         assert run_cli(["verify-theorem5", "--config", cfg, "--out", out]) == 0
-        assert json.loads(open(out).read())["results"]["extras"]["tau"] == "2/3"
+        assert json.loads(Path(out).read_text())["results"]["extras"]["tau"] == "2/3"
 
 
 class TestIdentitiesAndHahn:
@@ -172,7 +173,7 @@ class TestIdentitiesAndHahn:
         # a plain random rc's sequence is generally not Hahn-classical:
         # accept either verdict, but it must match the report content
         code = run_cli(["hahn", "--config", cfg, "--out", out])
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         assert (code == 0) == report["results"]["positive"]
 
     def test_hahn_negative_from_operator(self, tmp_path):
@@ -185,7 +186,7 @@ class TestIdentitiesAndHahn:
         out = str(tmp_path / "report.json")
         assert run_cli(["hahn", "--config", cfg, "--out", out]) == 2
         assert capsys.readouterr().out == "hahn: lambda_1 = lambda_0: repeated eigenvalue\n"
-        assert json.loads(open(out).read())["results"] == {
+        assert json.loads(Path(out).read_text())["results"] == {
             "error": "lambda_1 = lambda_0: repeated eigenvalue"}
 
     def test_hahn_positive_from_theorem_operator(self, tmp_path):
@@ -219,14 +220,14 @@ class TestSweepMode:
                 "--draws", "3", "--order", "24", "--check-order", "12"]
         assert run_cli(args + ["--out", out1]) == 0
         assert run_cli(args + ["--out", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_summary_shape(self, tmp_path):
         out = str(tmp_path / "s.json")
         run_cli(["sweep", "--target", "verify-identities", "--seed", "2",
                  "--draws", "2", "--order", "20", "--check-order", "8",
                  "--out", out])
-        tree = json.loads(open(out).read())
+        tree = json.loads(Path(out).read_text())
         assert tree["results"]["summary"]["violated"] == 0
 
 
@@ -242,7 +243,7 @@ class TestNegativeControl:
         assert run_cli(["sweep", "--target", "verify-theorem4", "--seed", "11",
                         "--draws", "3", "--order", "24", "--check-order", "12",
                         "--out", out]) == 1
-        entries = json.loads(open(out).read())["results"]["entries"]
+        entries = json.loads(Path(out).read_text())["results"]["entries"]
         tags = {e["detail"]["failure"]["tag"] for e in entries
                 if e["status"] == "violated"}
         assert tags == {"eigen-relation"}

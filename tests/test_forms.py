@@ -10,7 +10,6 @@ from duorth import (DiffOperator, MomentForm, Polynomial, Rational,
                     check_dual_identities, classical_system_check, dual_sequence,
                     eigen_mps, fit_2orth_recurrence, intermediates,
                     j_expansion_check, lemma_identities_check, phi_theorem4)
-from duorth.eigensolver import transport_certificate
 from duorth.errors import IdentityViolated, OrderExceeded
 from duorth.forms import require_equal
 from duorth.poly import X
@@ -146,14 +145,13 @@ def test_scalar_and_sum_ops():
 
 @pytest.fixture(scope="module")
 def theorem4_instance():
-    """The README's theorem-4 operator with its eigen-MPS, recurrence,
-    intermediates, classical system and duals u_0..u_5 to order 16."""
+    """The intermediates of the README's theorem-4 operator and its fitted
+    recurrence, its classical system and its duals u_0..u_5 to order 16."""
     J = DiffOperator([Polynomial([2]), Polynomial([-1, 3]), Polynomial.zero(),
                       Polynomial([1])])
-    P, lam = eigen_mps(J, 17)
+    P, _ = eigen_mps(J, 17)
     it = intermediates(J, fit_2orth_recurrence(P))
-    return SimpleNamespace(J=J, P=P, lam=lam, it=it, system=phi_theorem4(it),
-                           duals=dual_sequence(P, 5, 16))
+    return SimpleNamespace(it=it, system=phi_theorem4(it), duals=dual_sequence(P, 5, 16))
 
 
 # each check, run so that it asks its duals for order `need`
@@ -163,8 +161,6 @@ ORDER_GUARDED = {
     "lemma_identities_check": lambda x, need: lemma_identities_check(x.it, x.duals, need - 4),
     "classical_system_check": lambda x, need: classical_system_check(x.system, x.duals,
                                                                      need - 3),
-    "transport_certificate": lambda x, need: transport_certificate(x.J, x.P, x.lam,
-                                                                   x.duals, need),
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import duorth.pipelines as pipelines
 from duorth import (DiffOperator, MomentForm, ParamSampler, Polynomial,
-                    Rational, RecurrenceCoeffs, run_identities_rc,
+                    Rational, RecurrenceCoeffs, eigen_mps, run_identities_rc,
                     run_identities_operator, run_sweep, run_theorem4,
                     run_theorem5, forms, hahn, two_orth)
 from duorth.cli import main
@@ -374,11 +374,11 @@ def _perturbed_varpi11(monkeypatch):
 
 def _bumped_dual_moment(monkeypatch, nu, k, delta):
     """Add delta(u_nu, P) to moment k of u_nu in the duals that _drive
-    receives from pipelines.dual_sequence, after their certification."""
-    certified = pipelines.dual_sequence
+    receives from pipelines.dual_sequence."""
+    build = pipelines.dual_sequence
 
-    def dual_sequence(P, k_max, N, *certify):
-        duals = certified(P, k_max, N, *certify)
+    def dual_sequence(P, k_max, N):
+        duals = build(P, k_max, N)
         moments = list(duals[nu].moments)
         moments[k] += delta(duals[nu], P)
         duals[nu] = MomentForm(moments)
@@ -386,19 +386,19 @@ def _bumped_dual_moment(monkeypatch, nu, k, delta):
     monkeypatch.setattr(pipelines, "dual_sequence", dual_sequence)
 
 
-def _bumped_before_certification(monkeypatch, nu, k, delta):
-    """Add delta to moment k of u_nu in the duals that
-    pipelines.dual_sequence builds, before its certify sees them."""
-    build = pipelines.dual_sequence
+def _bumped_band(monkeypatch, n, d):
+    """Add 1 to band[n][d], the coefficient of x^(n-d) in J(x^n) over den,
+    in every band that DiffOperator.band returns; the band the operator
+    keeps is left as it is."""
+    band = DiffOperator.band
 
-    def dual_sequence(P, k_max, N, certify):
-        def bumped(P, duals, N):
-            moments = list(duals[nu].moments)
-            moments[k] += delta
-            duals[nu] = MomentForm(moments)
-            certify(P, duals, N)
-        return build(P, k_max, N, bumped)
-    monkeypatch.setattr(pipelines, "dual_sequence", dual_sequence)
+    def bumped(J, n_max):
+        cols, den = band(J, n_max)
+        if n <= n_max:
+            col = cols[n]
+            cols = cols[:n] + (col[:d] + (col[d] + 1,) + col[d + 1:],) + cols[n + 1:]
+        return cols, den
+    monkeypatch.setattr(DiffOperator, "band", bumped)
 
 
 def _failure(tag, where, lhs, rhs):
@@ -486,29 +486,66 @@ class TestNegativeControls:
                 if e["status"] == VIOLATED]
         assert tags and set(tags) == {"Eq-EqClassic-1"}
 
-    def test_dual_certification_through_pipelines(self, sampler,
+    def test_dual_certification_through_pipelines(self, sampler, monkeypatch,
                                                   corrupt_structure_row):
         # row 12 carries gamma_11, which the fit reads too: the recurrence
-        # suite's round trip names it first. In a theorem run it first
-        # reaches u_0..u_5 at moment 16, past check_order; the certification
-        # to moment N names it before the orthogonality rows
+        # suite's round trip names it first
         corrupt_structure_row(12)
         res = run_identities_rc(sampler.recurrence(22), moment_order=20,
                                 check_order=8)
         assert res.status == VIOLATED
         assert res.failure == _failure("round-trip", "gamma_11", "7/20", "-13/20")
+        # a theorem run builds its duals from J, not from the rows: row k
+        # bumps the fitted gamma_{k-1}, which R_{k-2} reads for k <= 5 and
+        # only the regenerated prefix P_0..P_8 reads for k = 6, 7
+        for k, tag, where in ((3, "dual-recurrence(n=1)", "moment 3"),
+                              (4, "dual-recurrence(n=2)", "moment 4"),
+                              (5, "dual-recurrence(n=3)", "moment 5"),
+                              (6, "fitted-rc-prefix", "P_7"),
+                              (7, "fitted-rc-prefix", "P_8")):
+            monkeypatch.undo()
+            corrupt_structure_row(k)
+            res = run_theorem4(README_J, moment_order=28, check_order=14)
+            assert res.status == VIOLATED
+            assert (res.failure["tag"], res.failure["where"]) == (tag, where)
+
+    @pytest.mark.parametrize("field, i, where", [
+        ("betas", 4, "P_5"), ("betas", 5, "P_6"), ("alphas", 4, "P_6"),
+        ("alphas", 5, "P_7"), ("gammas", 4, "P_7"), ("gammas", 5, "P_8"),
+    ])
+    def test_fitted_rc_prefix_sees_unread_coefficient(self, monkeypatch,
+                                                      field, i, where):
+        # beta_4, beta_5, alpha_5, alpha_6, gamma_5 and gamma_6 are printed
+        # in extras but read by no identity check; the regenerated P_n that
+        # first reads one differs from the eigen-MPS's
+        _bumped_fit(monkeypatch, field, i)
         res = run_theorem4(README_J, moment_order=28, check_order=14)
         assert res.status == VIOLATED
-        assert res.failure["tag"] == "biorthogonality"
+        assert (res.failure["tag"], res.failure["where"]) == ("fitted-rc-prefix", where)
+        n = int(where[2:])
+        assert res.failure["rhs"] == str(eigen_mps(README_J, n)[0][n])
+        assert res.failure["lhs"] != res.failure["rhs"]
 
     @pytest.mark.parametrize("run", [run_theorem4, run_identities_operator])
-    def test_certification_sees_bumped_moment(self, monkeypatch, run):
-        # moment 20 of u_2 lies above check_order, so no identity check
-        # reads it; the transport refuses, and the pairings name <u_2, P_20>
-        _bumped_before_certification(monkeypatch, 2, 20, 1)
-        res = run(README_J, moment_order=28, check_order=14)
-        assert res.status == VIOLATED
-        assert res.failure == _failure("biorthogonality", "<u_2, P_20>", "1", "0")
+    @pytest.mark.parametrize("n, d", [(3, 1), (10, 3), (14, 0), (16, 2),
+                                      (20, 1), (28, 3)])
+    def test_bumped_band_entry_never_passes(self, monkeypatch, run, n, d):
+        # read by every stage, a bumped entry makes eigen_mps solve another
+        # matrix, whose eigen-MPS is not 2-orthogonal; read by the dual
+        # construction alone, below or above check_order = 14, it moves the
+        # duals from moment n on, which the dual identities or the
+        # orthogonality rows then name
+        with pytest.MonkeyPatch.context() as patch:
+            _bumped_band(patch, n, d)
+            assert run(README_J, moment_order=28, check_order=14).status == UNMET
+        build = pipelines.dual_sequence
+
+        def dual_sequence(*args):
+            with pytest.MonkeyPatch.context() as patch:
+                _bumped_band(patch, n, d)
+                return build(*args)
+        monkeypatch.setattr(pipelines, "dual_sequence", dual_sequence)
+        assert run(README_J, moment_order=28, check_order=14).status == VIOLATED
 
     def test_hahn_sees_derivative_corruption(self, monkeypatch):
         # P_4 + x in place of P_4 adds 1/4 to Q_3 = P_4' / 4 of the
@@ -712,15 +749,16 @@ class TestOneIntermediatesPerVerdict:
 
 
 class TestTransportCertification:
-    """An operator verdict certifies its duals by the eigen transport: a
-    passing verdict pairs no dual with every P_m, runs no separate
-    verify_eigen, and computes J^T u_k once per dual for the certificate
-    and Eq-J(u_n) together. A corrupted verdict falls back to both."""
+    """An operator verdict's duals are certified by their construction from
+    J's transposed band recurrence: a passing verdict pairs no dual with
+    the P_m, runs verify_eigen once on P_0..P_check_order, and transposes
+    each dual once, for Eq-J(u_n). A corrupted lambda is named by that
+    verify_eigen call."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         pairings, eigen, transposes = [], [], []
-        pair, verify = pipelines.check_biorthogonality, pipelines.verify_eigen
+        pair, verify = two_orth.check_biorthogonality, pipelines.verify_eigen
         transpose = DiffOperator.transpose_apply
 
         def counted_pair(P, duals, N):
@@ -735,7 +773,7 @@ class TestTransportCertification:
             if not J.shifted_form:
                 transposes.append(u)
             return transpose(J, u)
-        monkeypatch.setattr(pipelines, "check_biorthogonality", counted_pair)
+        monkeypatch.setattr(two_orth, "check_biorthogonality", counted_pair)
         monkeypatch.setattr(pipelines, "verify_eigen", counted_verify)
         monkeypatch.setattr(DiffOperator, "transpose_apply", counted_transpose)
         return pairings, eigen, transposes
@@ -749,20 +787,14 @@ class TestTransportCertification:
     def test_passing_verdict(self, counts, run):
         assert run().status == PASSED
         pairings, eigen, transposes = counts
-        assert (pairings, eigen) == ([], [])
+        assert (pairings, eigen) == ([], [15])
         assert len(transposes) == 6 == len({id(u) for u in transposes})
 
-    def test_corrupted_duals_fall_back(self, counts, corrupt_structure_row):
-        corrupt_structure_row(12)
-        res = run_theorem4(README_J, moment_order=28, check_order=14)
-        assert res.failure["tag"] == "biorthogonality"
-        assert counts[:2] == ([28], [])
-
-    def test_corrupted_lambda_falls_back(self, counts, monkeypatch):
+    def test_corrupted_lambda_names_witness(self, counts, monkeypatch):
         _perturbed_lambda(monkeypatch)
         res = run_identities_operator(README_J, moment_order=28, check_order=14)
         assert res.failure["where"] == "n=3"
-        assert counts[:2] == ([28], [15])
+        assert counts[:2] == ([], [15])
 
 
 class TestOrthogonalityCertification:
