@@ -7,7 +7,7 @@ from .poly import MINUS_INF, Polynomial, Rational, as_rational
 from .forms import MomentForm, combine
 from .diffop import DiffOperator, LoweringClass
 from .two_orth import (MPSPrefix, RecurrenceCoeffs, check_dual_identities,
-                       dual_pairs, dual_sequence, expand_in_basis, fit_2orth_recurrence, generate,
+                       dual_pairs, dual_sequence, fit_2orth_recurrence, generate,
                        orthogonality_check)
 from .eigensolver import eigen_mps, verify_eigen
 from .hahn import (ClassicalSystem, Intermediates, classical_system_check,
@@ -27,7 +27,7 @@ __all__ = [
     "MomentForm", "combine", "DiffOperator", "LoweringClass",
     "MPSPrefix", "RecurrenceCoeffs",
     "check_dual_identities", "dual_pairs", "dual_sequence",
-    "expand_in_basis", "fit_2orth_recurrence", "generate",
+    "fit_2orth_recurrence", "generate",
     "orthogonality_check", "eigen_mps", "verify_eigen",
     "ClassicalSystem", "Intermediates",
     "classical_system_check", "derivative_mps", "hahn_check",

@@ -6,7 +6,10 @@ The same coefficient list drives the action on polynomials, the shifted
 operators, the transpose action on moment forms, and the operator's band:
 its upper-triangular matrix in the monomial basis, whose diagonal and
 superdiagonals hold the lambda scalars of the eigen-solve and of the
-lowering-order classification.
+lowering-order classification. One fraction-free triangular solve of the
+band (_band_solve) gives the eigenvector of lambda_k toward degree 0, the
+monic eigenpolynomial P_k, or toward higher moments, its dual u_k. Only
+this module and eigensolver read the band's layout.
 
 integer_form() gives the coefficients as integer numerators over their
 common denominator den, and both actions are one integer pass over den
@@ -183,6 +186,41 @@ class DiffOperator:
         if cols:
             object.__setattr__(self, "_band", self._band + tuple(cols))
         return self._band[: n_max + 1], den
+
+    def _band_solve(self, k: int, n: int) -> tuple:
+        """(v, den): J's eigenvector for lambda_k on positions k..n of the
+        monomial basis with v_k = 1, as integers over den (unreduced, den
+        may be negative), indexed by position and 0 outside k..n. For n < k
+        it holds the coefficients of the monic eigenpolynomial P_k; for
+        n > k the moments of the dual u_k, read off J^T u_k = lambda_k u_k
+        at k < m <= n, with u_k = 0 below k.
+
+        Both are one triangular solve of the band: position p_i = k +- i
+        couples to p_(i-d), 1 <= d <= order, through the matrix entry
+        band[max(p_i, p_(i-d))][d], and (lambda_(p_i) - lambda_k) v_(p_i)
+        = -sum_d entry v_(p_(i-d)). Fraction-free (Bareiss): x_i = v_(p_i)
+        prod_{t<=i} (lambda_(p_t) - lambda_k) takes at most order
+        small-by-big products per position."""
+        band, order = self.band(max(k, n))[0], self.order
+        s = 1 if n >= k else -1
+        pos = range(k, n + s, s)
+        diff = [band[p][0] - band[k][0] for p in pos]
+        x = [1]
+        for i in range(1, len(pos)):
+            p, top = pos[i], min(order, i)
+            ents = (band[p][1:top + 1] if s > 0
+                    else [band[p + d][d] for d in range(1, top + 1)])
+            acc, f = 0, 1
+            for d, e in enumerate(ents, 1):
+                if d > 1:
+                    f *= diff[i - d + 1]
+                acc -= e * f * x[i - d]
+            x.append(acc)
+        v, prod = [0] * (max(k, n) + 1), 1
+        for i in range(len(pos) - 1, -1, -1):
+            v[pos[i]] = x[i] * prod
+            prod *= diff[i]
+        return tuple(v), v[k]
 
     def lambda_seq(self, k: int, count: int) -> list:
         """[lambda_{n+k}^[k] for n = 0..count], the order-k normalization

@@ -5,13 +5,14 @@ the degree grading, whose band DiffOperator.band gives; the diagonal
 carries the lambda scalars. For pairwise distinct, nonzero lambdas the
 monic eigenpolynomials exist and are unique. eigen_mps builds P_{k+1}
 from row k of the structure rows x P_k = sum_j chi_{k,j} P_j, which
-J - lambda_{k+1} reads off P_0..P_k. While the rows are four-term, as
-they are exactly when the sequence is 2-orthogonal, a step is O(r k)
-small-by-big products for r the operator's order, and the rows are kept
-for the fit. From the first row that is not four-term on, the degrees
-left come out of a banded triangular back-substitution. The prefix also
-carries J, so two_orth.dual_sequence builds its duals by J's transposed
-band recurrence.
+J - lambda_{k+1} reads off P_0..P_k (two_orth._eliminate for the row's
+top three entries, two_orth._step for P_{k+1}). While the rows are
+four-term, as they are exactly when the sequence is 2-orthogonal, a step
+is O(r k) small-by-big products for r the operator's order, and the rows
+are kept for the fit. From the first row that is not four-term on, the
+degrees left are the band's triangular solve (DiffOperator._band_solve).
+The prefix also carries J, so two_orth.dual_sequence solves the same
+band for its duals.
 
 verify_eigen checks J(P_n) = lambda_n P_n by one unreduced integer pass
 per n and builds reduced polynomials only for the witness of a failing n,
@@ -19,14 +20,13 @@ so its witness bytes are those of a check on reduced polynomials.
 """
 from __future__ import annotations
 
-from math import lcm
 from operator import add, mul
 
 from .backend import Rat as Rational
 from .diffop import DiffOperator
 from .errors import IdentityViolated, NonInvertible, RepeatedEigenvalue
 from .poly import ONE, Polynomial
-from .two_orth import MPSPrefix
+from .two_orth import MPSPrefix, _eliminate, _step
 
 __all__ = ["eigen_mps", "verify_eigen"]
 
@@ -49,12 +49,10 @@ def eigen_mps(J: DiffOperator, n_max: int):
     x P_k minus its three lower terms is the eigenpolynomial P_{k+1}.
 
     At the first row that is not four-term the rest is back-substituted
-    (_back_substitute): c_tau = sum_m M[tau][m] c_m / (lambda_n - lambda_tau)
-    reads only J.band (m <= tau + J.order) and is fraction-free, as in
-    Bareiss's elimination. That row and the later ones are left to
-    structure_row.
+    over J's band (DiffOperator._band_solve), fraction-free. That row and
+    the later ones are left to structure_row.
     """
-    (band, den), order = J.band(n_max), J.order
+    band, den = J.band(n_max)
     first = {}
     for n, col in enumerate(band):
         v = col[0]
@@ -63,7 +61,7 @@ def eigen_mps(J: DiffOperator, n_max: int):
         if v in first:
             raise RepeatedEigenvalue(n, first[v])
         first[v] = n
-    diags = _diagonals(band, order)
+    diags = _diagonals(band, J.order)
     polys, rows = [ONE][: n_max + 1], []  # P_0, unless n_max < 0
     for k in range(n_max):
         step = _recurrence_step(polys, diags, k)
@@ -71,7 +69,8 @@ def eigen_mps(J: DiffOperator, n_max: int):
             break
         rows.append(step[0])
         polys.append(step[1])
-    polys += [_back_substitute(band, order, n) for n in range(len(polys), n_max + 1)]
+    polys += [Polynomial.from_pair(*J._band_solve(n, 0))
+              for n in range(len(polys), n_max + 1)]
     return MPSPrefix(polys, rows, J), [Rational(col[0], den) for col in band]
 
 
@@ -82,58 +81,24 @@ def _recurrence_step(P, diags, k):
     T = den d_k (J - lambda_{k+1})(x P_k), with P_k = p / d_k, has the
     integer coefficients T_tau = sum_d (band[tau + d][d] - [d = 0] lam[k + 1])
     p_(tau + d - 1) for tau <= k, and T / d_k = sum_{j<=k} r_j P_j with
-    r_j = chi_{k,j} (lam[j] - lam[k + 1]). Fraction-free elimination of its
-    top three coefficients by the monic P_k, P_{k-1}, P_{k-2} (as in
-    two_orth._row) gives r_m, so chi_{k,m}, for m = k, k-1, k-2. Then
-    Q = x P_k - sum_m chi_{k,m} P_m is one integer combination, and the
-    rest of T / d_k, which is den (J - lambda_{k+1}) Q, must vanish: one
-    pass per band diagonal over Q's numerators. Q is then P_{k+1},
-    reduced once."""
+    r_j = chi_{k,j} (lam[j] - lam[k + 1]). Its top three coefficients,
+    eliminated by the monic P_k, P_{k-1}, P_{k-2} (two_orth._eliminate),
+    give r_m, so chi_{k,m}, for m = k, k-1, k-2. Then the rest of T / d_k is
+    den (J - lambda_{k+1}) Q for Q = x P_k - sum_m chi_{k,m} P_m
+    (two_orth._step), and must vanish: one pass per band diagonal over Q's
+    unreduced numerators. Q is then P_{k+1}, reduced once."""
     lam = diags[0][1]
-    xp, dk, lam_next = (0,) + P[k].nums, P[k].den, lam[k + 1]
+    xp, lam_next = (0,) + P[k].nums, lam[k + 1]
     top = range(k, max(k - 3, -1), -1)
     w = {tau: sum(diag[tau] * xp[tau + d] for d, diag in diags if tau + d <= k + 1)
          - lam_next * xp[tau] for tau in top}
-    e, chis = dk, []
-    for m in top:
-        c, dm, nm = w[m], P[m].den, P[m].nums
-        chis.append((m, Rational(c, e * (lam[m] - lam_next))))
-        w, e = {j: w[j] * dm - c * nm[j] for j in top if j < m}, e * dm
-    # Q's terms (a / b) (v / q) over their common denominator D
-    terms = [(xp, dk, 1, 1)] + [(P[m].nums, P[m].den, -chi.numerator, chi.denominator)
-                                for m, chi in chis if chi]
-    D = lcm(*(q * b for _, q, _, b in terms))
-    acc = [0] * (k + 2)
-    for v, q, a, b in terms:
-        acc[: len(v)] = map(add, acc, map((a * (D // (q * b))).__mul__, v))
+    chis = [(m, Rational(c, e * (lam[m] - lam_next)))
+            for m, c, e in _eliminate(P, w, P[k].den, top)]
+    acc, D = _step(P, k, chis)
     if any(_residual(acc, lam_next, diags)):
         return None
     row = tuple((m, chi) for m, chi in reversed(chis) if chi) + ((k + 1, Rational(1)),)
-    return row, Polynomial.from_pair(tuple(acc), D)
-
-
-def _back_substitute(band, order, n):
-    """P_n by back-substitution over the band. x_tau = c_tau
-    prod_{tau<=s<n} (lambda_n - lambda_s) is an integer combination of
-    x_{tau+1..tau+order}, and P_n is reduced once over the denominator
-    prod_{s<n} (lambda_n - lambda_s)."""
-    diff = [band[n][0] - band[s][0] for s in range(n)]
-    x = [0] * n + [1]
-    for tau in range(n - 1, -1, -1):
-        acc, f = 0, 1
-        for m in range(tau + 1, min(n, tau + order) + 1):
-            if m > tau + 1:
-                f *= diff[m - 1]
-            e = band[m][m - tau]
-            if e and x[m]:
-                acc += e * f * x[m]
-        x[tau] = acc
-    nums, prod = [], 1
-    for tau in range(n):
-        nums.append(x[tau] * prod)
-        prod *= diff[tau]
-    nums.append(prod)
-    return Polynomial.from_pair(tuple(nums), prod)
+    return row, Polynomial.from_pair(acc, D)
 
 
 def _diagonals(band, order):

@@ -1,7 +1,8 @@
 """String/tree serialization: rationals as "p/q" or "p" strings,
 polynomials as ascending arrays of such strings, operators as
 array-of-arrays a[nu][i], recurrences as beta/alpha/gamma arrays.
-All I/O is exact; no floating point anywhere."""
+All I/O is exact; no floating point anywhere. Where an array is read, a
+string is refused rather than read one character at a time."""
 from __future__ import annotations
 
 import re
@@ -41,8 +42,14 @@ def poly_to_list(p: Polynomial) -> list:
     return [str(c) for c in p.coeffs]
 
 
+def _array(items, name: str):
+    if not isinstance(items, (list, tuple)):
+        raise ValueError(f"{name} must be an array, not {items!r}")
+    return items
+
+
 def poly_from_list(items) -> Polynomial:
-    return Polynomial([rat_from_str(c) for c in items])
+    return Polynomial([rat_from_str(c) for c in _array(items, "a polynomial")])
 
 
 def operator_to_tree(J: DiffOperator) -> list:
@@ -50,7 +57,7 @@ def operator_to_tree(J: DiffOperator) -> list:
 
 
 def operator_from_tree(tree) -> DiffOperator:
-    return DiffOperator([poly_from_list(row) for row in tree])
+    return DiffOperator([poly_from_list(row) for row in _array(tree, "an operator")])
 
 
 def rc_to_tree(rc: RecurrenceCoeffs) -> dict:
@@ -62,11 +69,8 @@ def rc_to_tree(rc: RecurrenceCoeffs) -> dict:
 
 
 def rc_from_tree(tree) -> RecurrenceCoeffs:
-    return RecurrenceCoeffs(
-        [rat_from_str(v) for v in tree["beta"]],
-        [rat_from_str(v) for v in tree["alpha"]],
-        [rat_from_str(v) for v in tree["gamma"]],
-    )
+    return RecurrenceCoeffs(*([rat_from_str(v) for v in _array(tree[key], key)]
+                              for key in ("beta", "alpha", "gamma")))
 
 
 def form_to_list(u: MomentForm) -> list:

@@ -4,21 +4,26 @@ Generation from recurrence coefficients; the structure rows of an MPS,
 the expansions x P_k = sum_j chi_{k,j} P_j, each computed once per
 sequence when first read: an O(k) four-term check, and a full expansion
 only of a row that fails it. The four-term-recurrence fit reads them up
-to the first row that fails. The dual sequence of an eigen-MPS that
-carries its operator J is built by J's transposed band recurrence and is
-biorthogonal by construction; any other sequence's duals run forward
-through its structure rows in O(N^2) and are certified by pairing. Then
-the dual recurrence run on polynomial pairs (dual_pairs: u_k = c0 u_0 +
-c1 u_1, the E/A/B/F pairs over the regular vector), and the moment-level
-identity checks for the dual recurrence, the decompositions and the
-orthogonality conditions. On certified duals the orthogonality zeros
-follow from the dual recurrence (orthogonality_certificate), so only their
-regularity pairings are computed.
+to the first row that fails. Two fraction-free helpers, shared with
+eigensolver, do that work: _step forms x P_k minus a row's lower terms
+as unreduced integers (generate reduces it to P_{k+1}; _row compares it
+with P_{k+1} cross-multiplied, the four-term test), and _eliminate
+expands by the monic P_m, over a row's top three indices or down to P_0.
+The duals of an eigen-MPS that carries its operator J solve J's band
+(DiffOperator._band_solve) and are biorthogonal by construction; any
+other sequence's duals run forward through its structure rows in O(N^2)
+and are certified by pairing. Then the dual recurrence run on polynomial
+pairs (dual_pairs: u_k = c0 u_0 + c1 u_1, the E/A/B/F pairs over the
+regular vector), and the moment-level identity checks for the dual
+recurrence, the decompositions and the orthogonality conditions. On
+certified duals the orthogonality zeros follow from the dual recurrence
+(orthogonality_certificate), so only their regularity pairings are
+computed.
 """
 from __future__ import annotations
 
 from math import lcm
-from operator import mul
+from operator import add
 from typing import Sequence
 
 from .backend import Rat as Rational
@@ -31,7 +36,7 @@ from .poly import ONE, Polynomial, X, as_rational
 from .reporting import Report
 
 __all__ = [
-    "RecurrenceCoeffs", "MPSPrefix", "generate", "expand_in_basis",
+    "RecurrenceCoeffs", "MPSPrefix", "generate",
     "structure_row", "fit_2orth_recurrence", "dual_sequence",
     "check_biorthogonality", "dual_pairs", "dual_recurrence",
     "check_dual_identities", "orthogonality_certificate", "orthogonality_check",
@@ -139,38 +144,48 @@ class MPSPrefix:
 def generate(rc: RecurrenceCoeffs, n_max: int) -> MPSPrefix:
     """Run the four-term recurrence exactly: P_0 = 1, P_1 = x - beta_0,
     P_2 = (x - beta_1) P_1 - alpha_1, and
-    P_{n+3} = (x - beta_{n+2}) P_{n+2} - alpha_{n+2} P_{n+1} - gamma_{n+1} P_n.
+    P_{n+3} = (x - beta_{n+2}) P_{n+2} - alpha_{n+2} P_{n+1} - gamma_{n+1} P_n,
+    each degree one integer step (_step) reduced once.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     polys = [ONE]
-    if n_max >= 1:
-        polys.append(X - Polynomial.constant(rc.beta(0)))
-    if n_max >= 2:
-        polys.append((X - Polynomial.constant(rc.beta(1))) * polys[1]
-                     - Polynomial.constant(rc.alpha(1)))
-    for m in range(3, n_max + 1):
-        nxt = ((X - Polynomial.constant(rc.beta(m - 1))) * polys[m - 1]
-               - rc.alpha(m - 1) * polys[m - 2]
-               - rc.gamma(m - 2) * polys[m - 3])
-        polys.append(nxt)
+    for k in range(n_max):
+        row = [(k, rc.beta(k))]
+        if k >= 1:
+            row.append((k - 1, rc.alpha(k)))
+        if k >= 2:
+            row.append((k - 2, rc.gamma(k - 1)))
+        polys.append(Polynomial.from_pair(*_step(polys, k, row)))
     return MPSPrefix(polys)
 
 
-def expand_in_basis(q: Polynomial, P: Sequence[Polynomial]) -> list:
-    """Coefficients c with q = sum_m c_m P_m, by descending triangular
-    elimination; requires deg q < len(P)."""
-    if not q.is_zero() and q.degree >= len(P):
-        raise OrderExceeded(f"degree {q.degree} exceeds basis length {len(P)}")
-    coefs = [Rational(0)] * len(P)
-    while not q.is_zero():
-        d = q.degree
-        c = q[d] / P[d].leading()
-        coefs[d] = c
-        q = q - c * P[d]
-        if not q.is_zero() and q.degree >= d:
-            raise ArithmeticError("basis elimination failed to reduce degree")
-    return coefs
+def _step(P, k: int, row) -> tuple:
+    """(nums, D): x P_k - sum_m chi P_m over the (m, chi) of row, m <= k,
+    as k + 2 unreduced integer numerators over the common denominator D of
+    its terms."""
+    terms = [((0,) + P[k].nums, P[k].den, 1, 1)]
+    terms += [(P[m].nums, P[m].den, -chi.numerator, chi.denominator)
+              for m, chi in row if chi]
+    D = lcm(*(q * b for _, q, _, b in terms))
+    acc = [0] * (k + 2)
+    for v, q, a, b in terms:
+        acc[: len(v)] = map(add, acc, map((a * (D // (q * b))).__mul__, v))
+    return tuple(acc), D
+
+
+def _eliminate(P, w: dict, e: int, top: range) -> list:
+    """[(m, c, e_m)]: c / e_m is the coefficient of the monic P_m in w / e,
+    for m in top (descending), where w holds the integers at the indices
+    in top. Fraction-free: eliminating P_m multiplies w and e by P_m's
+    denominator instead of dividing, so nothing is reduced. Over the whole
+    range k..0 it expands a polynomial of degree k over P in full."""
+    out = []
+    for m in top:
+        c, dm, nm = w[m], P[m].den, P[m].nums
+        out.append((m, c, e))
+        w, e = {j: w[j] * dm - c * nm[j] for j in top if j < m}, e * dm
+    return out
 
 
 def _as_prefix(P) -> MPSPrefix:
@@ -178,30 +193,22 @@ def _as_prefix(P) -> MPSPrefix:
 
 
 def _row(P: MPSPrefix, k: int) -> tuple:
-    """structure_row(P, k), computed. Fraction-free elimination of the top
-    three coefficients of x P_k - P_{k+1} = w / e by the monic P_k, P_{k-1},
-    P_{k-2} gives chi_{k,k}, chi_{k,k-1}, chi_{k,k-2}; one integer combination
-    checks that the rest vanishes. A row that is not four-term is expanded
-    in full."""
+    """structure_row(P, k), computed. x P_k - P_{k+1} = w / e is eliminated
+    by P_k, P_{k-1}, P_{k-2} (_eliminate), which gives chi_{k,k},
+    chi_{k,k-1} and chi_{k,k-2}; the row is four-term iff x P_k minus those
+    three terms (_step) is P_{k+1}, tested cross-multiplied. Otherwise the
+    elimination runs down to P_0."""
     ps = P.polys
-    xp, nk1 = (0,) + ps[k].nums, ps[k + 1].nums
-    dk, dk1 = ps[k].den, ps[k + 1].den
-    top = range(k, max(k - 3, -1), -1)
-    w, e = {j: xp[j] * dk1 - nk1[j] * dk for j in top}, dk * dk1
-    coefs = []
-    for m in top:
-        c, dm, nm = w[m], ps[m].den, ps[m].nums
-        coefs.append((m, Rational(c, e)))
-        w, e = {j: w[j] * dm - c * nm[j] for j in top if j < m}, e * dm
-    terms = [(xp, 1, dk), (nk1, -1, dk1)]
-    terms += [(ps[m].nums, -c.numerator, c.denominator * ps[m].den) for m, c in coefs]
-    D = lcm(*(q for _, _, q in terms))
-    scales = [p * (D // q) for _, p, q in terms]
-    # zip stops at the shortest term; the elimination zeroed every entry above
-    if any(sum(map(mul, scales, col)) for col in zip(*(v for v, _, _ in terms))):
-        return tuple((j, c) for j, c in enumerate(expand_in_basis(X * ps[k], P))
-                     if c != 0)
-    return tuple((j, c) for j, c in reversed(coefs) if c != 0) + ((k + 1, Rational(1)),)
+    xp, nk1, dk, dk1 = (0,) + ps[k].nums, ps[k + 1].nums, ps[k].den, ps[k + 1].den
+
+    def chis(top):
+        w = {j: xp[j] * dk1 - nk1[j] * dk for j in top}
+        return [(m, Rational(c, e)) for m, c, e in _eliminate(ps, w, dk * dk1, top)]
+    row = chis(range(k, max(k - 3, -1), -1))
+    acc, D = _step(ps, k, row)
+    if any(a * dk1 != b * D for a, b in zip(acc, nk1)):
+        row = chis(range(k, -1, -1))
+    return tuple((m, c) for m, c in reversed(row) if c) + ((k + 1, Rational(1)),)
 
 
 def structure_row(P: MPSPrefix, k: int) -> tuple:
@@ -266,19 +273,24 @@ def dual_sequence(P, k_max: int, N: int) -> list:
     """[u_0, .., u_{k_max}] to order N: the forms with <u_k, P_m> = delta_km
     for every m <= N, which fix them uniquely.
 
-    When P carries its operator J (eigen_mps returns such a prefix), the
-    duals come from J's transposed band recurrence, biorthogonal by
-    construction (_transport_duals). Otherwise (u_k)_n = c_{n,k} where
-    x^n = sum_k c_{n,k} P_k: the rows c_{n+1,j} = sum_k c_{n,k} chi_{k,j}
-    run forward through the structure rows, and check_biorthogonality
-    pairs each dual with each P_m, m <= N."""
+    When P carries its operator J (eigen_mps returns such a prefix), u_k
+    solves J^T u_k = lambda_k u_k with (u_k)_j = delta_jk for j <= k on
+    J's band (DiffOperator._band_solve). That is biorthogonal by
+    construction: eigen_mps has shown lambda_0..lambda_N distinct and
+    J P_m = lambda_m P_m for m <= N, so (lambda_m - lambda_k) <u_k, P_m>
+    = <J^T u_k - lambda_k u_k, P_m> = 0, and <u_k, P_k> = 1 for the monic
+    P_k. Otherwise (u_k)_n = c_{n,k} where x^n = sum_k c_{n,k} P_k: the
+    rows c_{n+1,j} = sum_k c_{n,k} chi_{k,j} run forward through the
+    structure rows, and check_biorthogonality pairs each dual with each
+    P_m, m <= N."""
     if k_max > N:
         raise OrderExceeded(f"dual index {k_max} exceeds requested order {N}")
     if len(P) <= N:
         raise OrderExceeded(f"need P_0..P_{N}, got {len(P)} polynomials")
     P = _as_prefix(P)
     if P.operator is not None:
-        return [_transport_duals(P.operator, k, N) for k in range(k_max + 1)]
+        return [MomentForm.from_pair(*P.operator._band_solve(k, N))
+                for k in range(k_max + 1)]
     # the rows run over integers: chi scaled to one denominator L, each
     # row c_n as (nums, den) reduced once
     chi = [structure_row(P, k) for k in range(N)]
@@ -299,35 +311,6 @@ def dual_sequence(P, k_max: int, N: int) -> list:
              for k in range(k_max + 1)]
     check_biorthogonality(P, duals, N)
     return duals
-
-
-def _transport_duals(J, k: int, N: int) -> MomentForm:
-    """u_k to order N for the eigen-MPS of J, from J^T u_k = lambda_k u_k.
-
-    <J^T u, x^n> = sum_d band[n][d] (u)_(n-d) / den reads moments up to n
-    only, so (u_k)_j = delta_jk for j <= k and, for k < n <= N,
-    (band[n][0] - band[k][0]) (u_k)_n = -sum_{d>=1} band[n][d] (u_k)_(n-d).
-    These are the duals: eigen_mps has shown that lambda_0..lambda_N are
-    distinct and J P_m = lambda_m P_m for m <= N, so (lambda_m - lambda_k)
-    <u_k, P_m> = <J^T u_k - lambda_k u_k, P_m> = 0, the low moments give
-    <u_k, P_m> = 0 for m < k and the monic P_k <u_k, P_k> = 1. Fraction-free
-    (Bareiss): x_n = (u_k)_n prod_{k<m<=n} (band[m][0] - band[k][0]) takes
-    at most J.order small-by-big products, and u_k is reduced once."""
-    band = J.band(N)[0]
-    diff = [col[0] - band[k][0] for col in band]
-    x = [0] * k + [1]
-    for n in range(k + 1, N + 1):
-        acc, f = 0, 1
-        for d in range(1, min(J.order, n - k) + 1):
-            if d > 1:
-                f *= diff[n - d + 1]
-            acc -= band[n][d] * f * x[n - d]
-        x.append(acc)
-    nums, prod = [0] * (N + 1), 1
-    for n in range(N, k - 1, -1):
-        nums[n] = x[n] * prod
-        prod *= diff[n]
-    return MomentForm.from_pair(tuple(nums), nums[k])
 
 
 def dual_pairs(rc: RecurrenceCoeffs, k_max: int) -> list:

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from duorth import (DiffOperator, MPSPrefix, ParamSampler, Polynomial, Rational,
                     RecurrenceCoeffs, two_orth)
+from duorth.errors import OrderExceeded
+from duorth.poly import ONE, X
 
 
 def rationals(max_num: int = 30, max_den: int = 12):
@@ -95,6 +97,42 @@ def jimage_mps(J: DiffOperator, P, k: int) -> list:
             raise ValueError(f"image of P_{n + k} is not monic of degree {n}")
         out.append(q)
     return out
+
+
+def expand_in_basis(q: Polynomial, P) -> list:
+    """Reference coefficients c with q = sum_m c_m P_m, by descending
+    triangular elimination over Rationals; requires deg q < len(P)."""
+    if not q.is_zero() and q.degree >= len(P):
+        raise OrderExceeded(f"degree {q.degree} exceeds basis length {len(P)}")
+    coefs = [Rational(0)] * len(P)
+    while not q.is_zero():
+        d = q.degree
+        c = q[d] / P[d].leading()
+        coefs[d] = c
+        q = q - c * P[d]
+        if not q.is_zero() and q.degree >= d:
+            raise ArithmeticError("basis elimination failed to reduce degree")
+    return coefs
+
+
+def generate_reference(rc: RecurrenceCoeffs, n_max: int) -> MPSPrefix:
+    """Reference two_orth.generate: the four-term recurrence run with
+    Polynomial operators, P_0 = 1, P_1 = x - beta_0,
+    P_2 = (x - beta_1) P_1 - alpha_1 and
+    P_{n+3} = (x - beta_{n+2}) P_{n+2} - alpha_{n+2} P_{n+1} - gamma_{n+1} P_n."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    polys = [ONE]
+    if n_max >= 1:
+        polys.append(X - Polynomial.constant(rc.beta(0)))
+    if n_max >= 2:
+        polys.append((X - Polynomial.constant(rc.beta(1))) * polys[1]
+                     - Polynomial.constant(rc.alpha(1)))
+    for m in range(3, n_max + 1):
+        polys.append((X - Polynomial.constant(rc.beta(m - 1))) * polys[m - 1]
+                     - rc.alpha(m - 1) * polys[m - 2]
+                     - rc.gamma(m - 2) * polys[m - 3])
+    return MPSPrefix(polys)
 
 
 def structure_rows(P) -> tuple:

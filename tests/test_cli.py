@@ -336,6 +336,17 @@ class TestInputErrors:
                      id="hahn-shallow-recurrence"),
         pytest.param("hahn", {}, [], "hahn needs an operator or a recurrence",
                      id="hahn-without-input"),
+        # a string where an array belongs was read one character at a time:
+        # a_1 = "13" as 1 + 3x, and beta as ten one-digit coefficients
+        pytest.param("verify-theorem4", {"operator": ["2", "13", [], ["1"]]}, [],
+                     "bad operator: a polynomial must be an array, not '2'",
+                     id="operator-coefficient-string"),
+        pytest.param("verify-identities",
+                     {"recurrence": {"beta": "1234567890", "alpha": ["1"] * 10,
+                                     "gamma": ["1"] * 10}},
+                     ["--order", "8", "--check-order", "4"],
+                     "bad recurrence: beta must be an array, not '1234567890'",
+                     id="recurrence-beta-string"),
     ])
     def test_rejected_input(self, tmp_path, capsys, mode, tree, flags, message):
         cfg = write_config(tmp_path, "c.json", tree)

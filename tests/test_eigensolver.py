@@ -166,7 +166,7 @@ def _theorem_draws(N):
 
 class TestTransportCertificate:
     """The duals of an eigen-MPS are built by the eigen transport
-    J^T u_k = lambda_k u_k (two_orth._transport_duals), and that
+    J^T u_k = lambda_k u_k (DiffOperator._band_solve), and that
     construction is their certificate: on isomorphisms of random operators
     and on every sampler shape, 2-orthogonal or not (t4-generic-cubic and
     t5-linear-a2 are not), they equal the duals that the structure rows of

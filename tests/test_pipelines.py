@@ -676,18 +676,20 @@ class TestOneExpansionPerSequence:
 
     @pytest.fixture
     def counts(self, monkeypatch):
+        # a full expansion is an elimination past the top three indices
         rows, expansions = [], []
-        row, expand = two_orth._row, two_orth.expand_in_basis
+        row, eliminate = two_orth._row, two_orth._eliminate
 
         def counted_row(P, k):
             rows.append((len(P), k))
             return row(P, k)
 
-        def counted_expand(q, P):
-            expansions.append(len(P))
-            return expand(q, P)
+        def counted_eliminate(P, w, e, top):
+            if len(top) > 3:
+                expansions.append(len(P))
+            return eliminate(P, w, e, top)
         monkeypatch.setattr(two_orth, "_row", counted_row)
-        monkeypatch.setattr(two_orth, "expand_in_basis", counted_expand)
+        monkeypatch.setattr(two_orth, "_eliminate", counted_eliminate)
         return rows, expansions
 
     def test_identities_rc(self, sampler, counts):

@@ -4,15 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_mps, rationals, structure_rows
+from conftest import (expand_in_basis, generate_reference, random_mps, rationals,
+                      structure_rows)
 from duorth import (MomentForm, MPSPrefix, ParamSampler, Polynomial, Rational,
                     RecurrenceCoeffs, check_dual_identities, dual_pairs,
-                    dual_sequence, eigen_mps, expand_in_basis,
-                    fit_2orth_recurrence, generate, orthogonality_check)
+                    dual_sequence, eigen_mps, fit_2orth_recurrence, generate,
+                    orthogonality_check)
 from duorth.errors import (IdentityViolated, MissingCoefficient,
                            NotTwoOrthogonal, OrderExceeded, ZeroGamma)
 from duorth.poly import ONE, X
-from duorth.two_orth import dual_recurrence, orthogonality_certificate
+from duorth.two_orth import (dual_recurrence, orthogonality_certificate,
+                             structure_row)
 
 R = Rational
 
@@ -46,6 +48,21 @@ class TestGenerate:
     def test_zero_gamma_rejected(self):
         with pytest.raises(ZeroGamma):
             RecurrenceCoeffs([0], [1], [0])
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_polynomial_recurrence(self, data):
+        # beta and alpha are 0 about half the time: the sampler never draws 0
+        depth = data.draw(st.integers(min_value=0, max_value=12))
+        coef = st.one_of(st.just(R(0)), rationals())
+        rc = RecurrenceCoeffs(
+            data.draw(st.lists(coef, min_size=depth, max_size=depth)),
+            data.draw(st.lists(coef, min_size=depth, max_size=depth)),
+            data.draw(st.lists(rationals().filter(bool), min_size=depth,
+                               max_size=depth)))
+        n = data.draw(st.integers(min_value=0, max_value=depth))
+        pairs = [(p.nums, p.den) for p in generate(rc, n)]
+        assert pairs == [(p.nums, p.den) for p in generate_reference(rc, n)]
 
 
 class TestStructure:
@@ -162,6 +179,20 @@ class TestFit:
     def test_short_prefix_rejected(self):
         with pytest.raises(ValueError):
             fit_2orth_recurrence([ONE, X, Polynomial.monomial(2)])
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_lowest_coefficient_breaks_row(self, sampler, k):
+        # P_{k+1} + c P_0 differs from x P_k - beta_k P_k - alpha_k P_{k-1}
+        # - gamma_{k-1} P_{k-2} only at x^0, so row k gains chi_{k,0} = -c
+        P = list(generate(sampler.recurrence(10), 10))
+        P[k + 1] = P[k + 1] + R(3, 7) * P[0]
+        row = structure_row(MPSPrefix(P), k)
+        assert row == dense_rows(P)[k]
+        assert [j for j, _ in row] == [0, k - 2, k - 1, k, k + 1]
+        with pytest.raises(NotTwoOrthogonal) as err:
+            fit_2orth_recurrence(MPSPrefix(P))
+        assert err.value.index == k - 1
+        assert err.value.reason == f"chi_{{{k - 1},0}} = -3/7 != 0"
 
 
 def basis_change_duals(P, k_max, N):
