@@ -118,7 +118,7 @@ def _infer_tau(cfg, J):
     if cfg.get("tau") is not None:
         try:
             return rat_from_str(cfg["tau"])
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
+        except (ValueError, TypeError) as exc:
             raise InputError(f"bad tau: {exc}")
     a2, a3 = J.coeff(2), J.coeff(3)
     if a2.is_zero():

@@ -133,26 +133,15 @@ class MomentForm:
 
 def combine(pairs: Iterable[tuple]) -> MomentForm:
     """sum of f_i * u_i for (f_i, u_i) pairs, clamped to the common order
-    (each sum clamps to the order of its shallower term)."""
+    (each sum clamps to the order of its shallower term). No pair raises
+    ValueError."""
     terms = [u.left_mul(f) for f, u in pairs]
+    if not terms:
+        raise ValueError("combine needs at least one (f, u) pair")
     acc = terms[0]
     for t in terms[1:]:
         acc = acc + t
     return acc
-
-
-def _common_to(lhs: MomentForm, rhs: MomentForm, upto: int) -> tuple:
-    """Moments 0..upto of both forms over one denominator."""
-    return qcommon(lhs.nums[: upto + 1], lhs.den, rhs.nums[: upto + 1], rhs.den)[:2]
-
-
-def agree_to(lhs: MomentForm, rhs: MomentForm, upto: int) -> bool:
-    """Whether both forms carry moments 0..upto and those are equal: the
-    test of require_equal, as a bool."""
-    if min(lhs.order, rhs.order) < upto:
-        return False
-    a, b = _common_to(lhs, rhs, upto)
-    return a == b
 
 
 def require_order(duals: Iterable[MomentForm], order: int) -> None:
@@ -168,7 +157,7 @@ def require_equal(lhs: MomentForm, rhs: MomentForm, upto: int, tag: str):
         raise OrderExceeded(
             f"{tag}: comparison to order {upto} exceeds reliable orders "
             f"{lhs.order}/{rhs.order}")
-    a, b = _common_to(lhs, rhs, upto)
+    a, b, _ = qcommon(lhs.nums[: upto + 1], lhs.den, rhs.nums[: upto + 1], rhs.den)
     if a != b:
         j = next(j for j, (x, y) in enumerate(zip(a, b)) if x != y)
         raise IdentityViolated(tag, f"moment {j}", lhs.moment(j), rhs.moment(j))

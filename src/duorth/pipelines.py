@@ -14,22 +14,22 @@ lhs and rhs). Orders outside moment_order >= 6 and
 0 <= check_order <= moment_order - 4 raise ValueError before any work; a
 theorem run checks Hahn's property to min(10, moment_order - 1).
 
-The duals' biorthogonality holds by construction on an operator run:
-dual_sequence builds them from J's transposed band recurrence on the
-eigen-MPS, whose distinct lambdas and eigen relation to moment_order
-eigen_mps has established. verify_eigen then checks the eigen relation
-of the lambdas the report prints to check_order. run_identities_rc has
-no operator, and dual_sequence certifies its duals by pairing them to
-moment_order. It needs moment_order >= 8.
+The duals' biorthogonality holds by construction on both routes: on an
+operator run dual_sequence builds them from J's transposed band
+recurrence on the eigen-MPS, whose distinct lambdas and eigen relation
+to moment_order eigen_mps has established; verify_eigen then checks the
+eigen relation of the lambdas the report prints to check_order.
+run_identities_rc has no operator, and its duals run forward through the
+exact structure rows of the generated sequence. It needs
+moment_order >= 8.
 
-On both routes the d = 2 orthogonality rows (m <= 2) are then certified
-by the dual recurrence R_0..R_3 on those certified duals: the forms that
-check_dual_identities compares to check_order are compared again to the
-duals' order - 1, and moving each x of <u_nu, P_m P_j> across the pairing
-leaves pairings that biorthogonality makes 0. Only the six regularity
-pairings are computed. If a recurrence moment differs, the rows compute
-every pairing and a violated report names the first nonzero one
-(two_orth.orthogonality_certificate)."""
+The d = 2 orthogonality rows (m <= 2) then follow from the dual
+recurrence R_0..R_3: the forms that check_dual_identities compares to
+check_order are compared again to the duals' order - 1, and moving each
+x of <u_nu, P_m P_j> across the pairing leaves pairings that
+biorthogonality makes 0. A differing moment is named by its
+dual-recurrence(n=..) tag. A verdict computes no pairing except the six
+regularity pairings <u_nu, P_m P_{2m+nu}>."""
 from __future__ import annotations
 
 from itertools import tee
@@ -100,11 +100,12 @@ def _closed_forms(report, tag, kind):
 
 
 def _recurrence_checks(rc, P, duals, M, report):
-    """Report the biorthogonality that dual_sequence certified, then check
-    the dual recurrence and decompositions and the d = 2 orthogonality.
-    One set of dual-recurrence forms serves both: check_dual_identities
-    builds them as it compares them to M, and tee keeps them for the
-    certificate of orthogonality_check."""
+    """Report the biorthogonality that dual_sequence's construction gives,
+    then check the dual recurrence and decompositions and the d = 2
+    orthogonality. One set of dual-recurrence forms serves both:
+    check_dual_identities builds them as it compares them to M, and tee
+    keeps them for orthogonality_check, which compares them to the duals'
+    order - 1."""
     report.add("biorthogonality",
                horizon=f"k<={len(duals) - 1}, m<={min(8, duals[0].order)}")
     for_identities, for_certificate = tee(dual_recurrence(rc, duals))
@@ -227,8 +228,8 @@ def run_identities_rc(rc: RecurrenceCoeffs, *, moment_order: int = 40,
     """Recurrence-level identity suite: generation round trip,
     biorthogonality, dual recurrence, u_2..u_5 decompositions, and the
     d = 2 orthogonality conditions. It has no operator, so dual_sequence
-    certifies the duals by pairing. Needs moment_order >= 8 and rc
-    coefficients to depth 8 (ValueError otherwise)."""
+    builds the duals from the structure rows. Needs moment_order >= 8 and
+    rc coefficients to depth 8 (ValueError otherwise)."""
     if moment_order < 8:
         raise ValueError("moment_order must be >= 8 on the recurrence route")
     report = Report("identities")

@@ -28,12 +28,16 @@ def rat_to_str(r) -> str:
 
 
 def rat_from_str(s) -> Rational:
-    """Parse "p/q" or "p"; JSON integers are accepted, floats are not."""
+    """Parse "p/q" or "p" (q != 0); JSON integers are accepted, floats are
+    not."""
     if isinstance(s, bool) or isinstance(s, float):
         raise ValueError(f"floating point is not accepted: {s!r}")
     if isinstance(s, int):
         return Rational(s)
     if isinstance(s, str) and _RAT_FORM.match(s.strip()):
+        _, _, den = s.strip().partition("/")
+        if den and int(den) == 0:
+            raise ValueError(f"zero denominator in {s!r}")
         return Rational(s.strip())
     raise ValueError(f"not a p/q rational string: {s!r}")
 
@@ -69,8 +73,15 @@ def rc_to_tree(rc: RecurrenceCoeffs) -> dict:
 
 
 def rc_from_tree(tree) -> RecurrenceCoeffs:
+    keys = ("beta", "alpha", "gamma")
+    if not isinstance(tree, dict):
+        raise ValueError("a recurrence must be an object with beta, alpha and "
+                         f"gamma arrays, not {tree!r}")
+    for key in keys:
+        if key not in tree:
+            raise ValueError(f"missing \"{key}\" array")
     return RecurrenceCoeffs(*([rat_from_str(v) for v in _array(tree[key], key)]
-                              for key in ("beta", "alpha", "gamma")))
+                              for key in keys))
 
 
 def form_to_list(u: MomentForm) -> list:

@@ -10,15 +10,15 @@ as unreduced integers (generate reduces it to P_{k+1}; _row compares it
 with P_{k+1} cross-multiplied, the four-term test), and _eliminate
 expands by the monic P_m, over a row's top three indices or down to P_0.
 The duals of an eigen-MPS that carries its operator J solve J's band
-(DiffOperator._band_solve) and are biorthogonal by construction; any
-other sequence's duals run forward through its structure rows in O(N^2)
-and are certified by pairing. Then the dual recurrence run on polynomial
-pairs (dual_pairs: u_k = c0 u_0 + c1 u_1, the E/A/B/F pairs over the
-regular vector), and the moment-level identity checks for the dual
-recurrence, the decompositions and the orthogonality conditions. On
-certified duals the orthogonality zeros follow from the dual recurrence
-(orthogonality_certificate), so only their regularity pairings are
-computed.
+(DiffOperator._band_solve); any other sequence's duals run forward
+through its structure rows in O(N^2). Both are biorthogonal by
+construction. Then the dual recurrence run on polynomial pairs
+(dual_pairs: u_k = c0 u_0 + c1 u_1, the E/A/B/F pairs over the regular
+vector), and the moment-level identity checks for the dual recurrence,
+the decompositions and the orthogonality conditions. The orthogonality
+zeros follow from the dual recurrence on those duals, so
+orthogonality_check compares R_n to the duals' order and computes only
+the regularity pairings.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from .backend import Rat as Rational
 from .backend import qreduce
 from .errors import (IdentityViolated, MissingCoefficient, NotTwoOrthogonal,
                      OrderExceeded, ZeroGamma)
-from .forms import MomentForm, agree_to, combine, require_order
+from .forms import MomentForm, combine, require_order
 from .forms import require_equal as _require_equal
 from .poly import ONE, Polynomial, X, as_rational
 from .reporting import Report
@@ -38,8 +38,8 @@ from .reporting import Report
 __all__ = [
     "RecurrenceCoeffs", "MPSPrefix", "generate",
     "structure_row", "fit_2orth_recurrence", "dual_sequence",
-    "check_biorthogonality", "dual_pairs", "dual_recurrence",
-    "check_dual_identities", "orthogonality_certificate", "orthogonality_check",
+    "dual_pairs", "dual_recurrence", "check_dual_identities",
+    "orthogonality_check",
 ]
 
 
@@ -257,18 +257,6 @@ def fit_2orth_recurrence(P: MPSPrefix | Sequence[Polynomial]) -> RecurrenceCoeff
     return RecurrenceCoeffs(betas, alphas, gammas)
 
 
-def check_biorthogonality(P, duals, m_max: int):
-    """<u_k, P_m> = delta_km for every dual u_k and every m <= m_max;
-    raises IdentityViolated("biorthogonality") at the first failure."""
-    for k, u in enumerate(duals):
-        for m in range(m_max + 1):
-            val = u.act(P[m])
-            want = 1 if k == m else 0
-            if val != want:
-                raise IdentityViolated("biorthogonality", f"<u_{k}, P_{m}>",
-                                       val, want)
-
-
 def dual_sequence(P, k_max: int, N: int) -> list:
     """[u_0, .., u_{k_max}] to order N: the forms with <u_k, P_m> = delta_km
     for every m <= N, which fix them uniquely.
@@ -281,8 +269,10 @@ def dual_sequence(P, k_max: int, N: int) -> list:
     = <J^T u_k - lambda_k u_k, P_m> = 0, and <u_k, P_k> = 1 for the monic
     P_k. Otherwise (u_k)_n = c_{n,k} where x^n = sum_k c_{n,k} P_k: the
     rows c_{n+1,j} = sum_k c_{n,k} chi_{k,j} run forward through the
-    structure rows, and check_biorthogonality pairs each dual with each
-    P_m, m <= N."""
+    structure rows. That is biorthogonal by construction too: every
+    structure row is exact (_row tests a four-term row cross-multiplied
+    and eliminates any other in full), so x^n = sum_k c_{n,k} P_k holds
+    exactly and <u_k, P_m> = delta_km."""
     if k_max > N:
         raise OrderExceeded(f"dual index {k_max} exceeds requested order {N}")
     if len(P) <= N:
@@ -306,11 +296,9 @@ def dual_sequence(P, k_max: int, N: int) -> list:
                     nxt[j] += c * chi_kj
         rows.append(qreduce(tuple(nxt), den * L))
     D = lcm(*(den for _, den in rows))
-    duals = [MomentForm.from_pair(tuple([nums[k] * (D // den) if k < len(nums) else 0
-                                         for nums, den in rows]), D)
-             for k in range(k_max + 1)]
-    check_biorthogonality(P, duals, N)
-    return duals
+    return [MomentForm.from_pair(tuple([nums[k] * (D // den) if k < len(nums) else 0
+                                        for nums, den in rows]), D)
+            for k in range(k_max + 1)]
 
 
 def dual_pairs(rc: RecurrenceCoeffs, k_max: int) -> list:
@@ -381,67 +369,46 @@ def check_dual_identities(rc: RecurrenceCoeffs, duals: Sequence[MomentForm],
     return report
 
 
-def orthogonality_certificate(recurrence, m_max: int, N: int) -> bool:
-    """Whether <u_nu, P_m P_j> = 0 for nu in {0, 1}, m <= m_max and
-    2m + nu < j <= N - m follows without pairing, given duals u_k that
-    are biorthogonal to P to order N (dual_sequence certifies that) and
-    the (n, x u_n, right side) triples of dual_recurrence on them.
-
-    Proof: write P_m u_nu = sum_i p_i x^i u_nu and move one x at a time
-    across the pairing with P_j, <x u, q> = <u, x q> for deg q <= N - 1.
-    Replacing each x u_k by the right side of R_k, k <= 2 m_max - 1,
-    leaves u_0..u_{2m+nu} paired with P_j, and each of those pairings is 0
-    by biorthogonality. That needs R_n to hold moment-wise to N - 1 for
-    every n <= 2 m_max - 1, so u_0..u_{2 m_max + 1}; the certificate
-    checks exactly that and refuses (False) when a triple is missing, too
-    shallow, or differs. Wrong recurrence coefficients can therefore only
-    make it refuse."""
-    sides = {n: (lhs, rhs) for n, lhs, rhs in recurrence}
-    return all(n in sides and agree_to(*sides[n], N - 1)
-               for n in range(2 * m_max))
-
-
-def orthogonality_check(P, duals, m_max: int, recurrence=None) -> Report:
+def orthogonality_check(P, duals, m_max: int, recurrence) -> Report:
     """d = 2 orthogonality of the canonical pair: <u_nu, P_m P_n> = 0 for
     n >= 2m + nu + 1, and <u_nu, P_m P_{2m+nu}> != 0, for nu in {0, 1} and
     m <= m_max. Row (nu, m) runs to n = min(len(P) - 1, order of u_nu - m);
     the first row of nu whose regularity index 2m + nu lies past that
-    range ends nu's rows. Each row reads <P_m u_nu, P_n> off one
-    left-multiplication.
+    range ends nu's rows.
 
-    A caller whose duals dual_sequence certified against P passes their
-    dual_recurrence triples as recurrence (pipelines does). When
-    orthogonality_certificate accepts them, each row computes only its
-    regularity pairing and reports the same horizon. Otherwise, and
-    without recurrence, every pairing is computed and the first nonzero
-    one is the witness. Fewer than two duals raise ValueError."""
+    duals are biorthogonal to P to their order N (dual_sequence builds
+    them so), and recurrence holds their dual_recurrence triples
+    (n, x u_n, right side). The zeros follow from R_0..R_{2 m_max - 1}
+    holding moment-wise to N - 1: write P_m u_nu = sum_i p_i x^i u_nu and
+    move one x at a time across the pairing with P_n, <x u, q> = <u, x q>
+    for deg q <= N - 1. Replacing each x u_k by the right side of R_k
+    leaves u_0..u_{2m+nu} paired with P_n, and each of those pairings is
+    0 by biorthogonality. So each of those R_n is compared to N - 1, and
+    the first differing moment raises IdentityViolated tagged
+    dual-recurrence(n=..); then each row computes only its regularity
+    pairing, off one left-multiplication. A missing or too shallow
+    triple, or fewer than two duals, raise ValueError."""
     if len(duals) < 2:
         raise ValueError("need at least u_0, u_1")
     pair = duals[:2]
-    certified = recurrence is not None and orthogonality_certificate(
-        recurrence, m_max, max(u.order for u in pair))
+    N = max(u.order for u in pair)
+    sides = {n: (lhs, rhs) for n, lhs, rhs in recurrence}
+    for n in range(2 * m_max):
+        if n not in sides or min(u.order for u in sides[n]) < N - 1:
+            raise ValueError(f"orthogonality to m = {m_max} needs R_{n} "
+                             f"to moment {N - 1}")
+        _require_equal(*sides[n], N - 1, f"dual-recurrence(n={n})")
     report = Report("orthogonality")
     for nu, u in enumerate(pair):
         for m in range(m_max + 1):
             reg_index = 2 * m + nu
             if reg_index >= len(P) or P[m].degree + P[reg_index].degree > u.order:
                 break
-            w = u.left_mul(P[m])
-            val = w.act(P[reg_index])
+            val = u.left_mul(P[m]).act(P[reg_index])
             if val == 0:
                 raise IdentityViolated(
                     f"regularity(nu={nu},m={m})", f"<u_{nu}, P_{m} P_{reg_index}>",
                     val, "nonzero")
-            n = reg_index + 1
-            if certified:
-                # the loop below then stops at once, at the n where it would
-                n = min(len(P), u.order - P[m].degree + 1)
-            while n < len(P) and P[m].degree + P[n].degree <= u.order:
-                val = w.act(P[n])
-                if val != 0:
-                    raise IdentityViolated(
-                        f"orthogonality(nu={nu},m={m})",
-                        f"<u_{nu}, P_{m} P_{n}>", val, 0)
-                n += 1
-            report.add(f"orthogonality(nu={nu},m={m})", horizon=n - 1)
+            report.add(f"orthogonality(nu={nu},m={m})",
+                       horizon=min(len(P) - 1, u.order - m))
     return report

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from duorth import (DiffOperator, MPSPrefix, ParamSampler, Polynomial, Rational,
                     RecurrenceCoeffs, two_orth)
-from duorth.errors import OrderExceeded
+from duorth.errors import IdentityViolated, OrderExceeded
+from duorth.reporting import Report
 from duorth.poly import ONE, X
 
 
@@ -34,20 +35,29 @@ def sampler():
     return ParamSampler(20240817)
 
 
+# the index j of the entry chi_{k,j} of row k that carries each coefficient
+# of x P_k = P_{k+1} + beta_k P_k + alpha_k P_{k-1} + gamma_{k-1} P_{k-2}
+ROW_ENTRY = {"beta": 0, "alpha": 1, "gamma": 2}
+
+
 @pytest.fixture
 def corrupt_structure_row(monkeypatch):
-    """corrupt(k) adds 1 to chi_{k,k-2}, the gamma_{k-1} of
-    x P_k = P_{k+1} + .. + gamma_{k-1} P_{k-2}, in the structure rows that
-    the fit and dual_sequence read (two_orth.structure_row); the stored
-    rows are left as they are."""
-    def corrupt(k):
-        row_of = two_orth.structure_row
+    """corrupt(k, coefficient="gamma") adds 1 to the entry of row k that
+    carries beta_k, alpha_k or gamma_{k-1} (chi_{k,k}, chi_{k,k-1} or
+    chi_{k,k-2}) in the structure rows that the fit and dual_sequence read
+    (two_orth.structure_row); an entry the row omits, a zero, becomes 1,
+    and one that becomes 0 stays in the row. The stored rows are left as
+    they are."""
+    def corrupt(k, coefficient="gamma"):
+        row_of, j = two_orth.structure_row, k - ROW_ENTRY[coefficient]
 
         def perturbed(P, n):
             row = row_of(P, n)
             if n != k:
                 return row
-            return tuple((j, c + 1 if j == k - 2 else c) for j, c in row)
+            chi = dict(row)
+            chi[j] = chi.get(j, 0) + 1
+            return tuple(sorted(chi.items()))
         monkeypatch.setattr(two_orth, "structure_row", perturbed)
     return corrupt
 
@@ -191,3 +201,43 @@ def eigen_reference(M) -> tuple:
                          Rational(0)) / (lam[n] - lam[tau])
         polys.append(Polynomial(c))
     return polys, lam
+
+
+def check_biorthogonality(P, duals, m_max: int):
+    """Reference biorthogonality: <u_k, P_m> = delta_km for every dual u_k
+    and every m <= m_max by pairing; raises IdentityViolated
+    ("biorthogonality") at the first failure."""
+    for k, u in enumerate(duals):
+        for m in range(m_max + 1):
+            val = u.act(P[m])
+            want = 1 if k == m else 0
+            if val != want:
+                raise IdentityViolated("biorthogonality", f"<u_{k}, P_{m}>",
+                                       val, want)
+
+
+def orthogonality_loop(P, duals, m_max: int) -> Report:
+    """Reference two_orth.orthogonality_check by pairing: row (nu, m) pairs
+    P_m u_nu with P_{2m+nu} (regularity, nonzero) and with every P_n,
+    2m + nu < n <= min(len(P) - 1, order of u_nu - m) (zero), and raises
+    IdentityViolated at the first failing pairing; the report has the rows
+    and horizons of orthogonality_check."""
+    report = Report("orthogonality")
+    for nu, u in enumerate(duals[:2]):
+        for m in range(m_max + 1):
+            reg_index = 2 * m + nu
+            if reg_index >= len(P) or m + reg_index > u.order:
+                break
+            w = u.left_mul(P[m])
+            if w.act(P[reg_index]) == 0:
+                raise IdentityViolated(
+                    f"regularity(nu={nu},m={m})", f"<u_{nu}, P_{m} P_{reg_index}>",
+                    0, "nonzero")
+            top = min(len(P) - 1, u.order - m)
+            for n in range(reg_index + 1, top + 1):
+                val = w.act(P[n])
+                if val != 0:
+                    raise IdentityViolated(f"orthogonality(nu={nu},m={m})",
+                                           f"<u_{nu}, P_{m} P_{n}>", val, 0)
+            report.add(f"orthogonality(nu={nu},m={m})", horizon=top)
+    return report

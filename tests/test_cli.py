@@ -347,6 +347,17 @@ class TestInputErrors:
                      ["--order", "8", "--check-order", "4"],
                      "bad recurrence: beta must be an array, not '1234567890'",
                      id="recurrence-beta-string"),
+        pytest.param("verify-identities", {"recurrence": ["0", "1"]}, [],
+                     "bad recurrence: a recurrence must be an object with beta, "
+                     "alpha and gamma arrays, not ['0', '1']",
+                     id="recurrence-not-object"),
+        pytest.param("verify-identities",
+                     {"recurrence": {"beta": ["1"] * 10, "alpha": ["1"] * 10}}, [],
+                     "bad recurrence: missing \"gamma\" array",
+                     id="recurrence-without-gamma"),
+        pytest.param("classify", {"operator": [["1/0"]]}, [],
+                     "bad operator: zero denominator in '1/0'",
+                     id="zero-denominator"),
     ])
     def test_rejected_input(self, tmp_path, capsys, mode, tree, flags, message):
         cfg = write_config(tmp_path, "c.json", tree)

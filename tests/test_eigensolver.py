@@ -11,11 +11,10 @@ from duorth import (DiffOperator, ParamSampler, Polynomial, Rational,
 from duorth.errors import (IdentityViolated, NonInvertible, NotTwoOrthogonal,
                            OrderExceeded, RepeatedEigenvalue)
 from duorth.poly import ONE, X
-from duorth.two_orth import (MPSPrefix, check_biorthogonality,
-                             fit_2orth_recurrence, structure_row)
+from duorth.two_orth import MPSPrefix, fit_2orth_recurrence, structure_row
 
-from conftest import (OperatorMatrix, apply_matrix, eigen_reference,
-                      jimage_mps, operators, random_operator)
+from conftest import (OperatorMatrix, apply_matrix, check_biorthogonality,
+                      eigen_reference, jimage_mps, operators, random_operator)
 
 R = Rational
 
@@ -170,7 +169,8 @@ class TestTransportCertificate:
     construction is their certificate: on isomorphisms of random operators
     and on every sampler shape, 2-orthogonal or not (t4-generic-cubic and
     t5-linear-a2 are not), they equal the duals that the structure rows of
-    the same polynomials give without J, and pairing accepts them."""
+    the same polynomials give without J, and the reference pairing
+    accepts them."""
 
     @staticmethod
     def check(J, k_max, N):

@@ -11,7 +11,7 @@ from duorth import (DiffOperator, MomentForm, Polynomial, Rational,
                     eigen_mps, fit_2orth_recurrence, intermediates,
                     j_expansion_check, lemma_identities_check, phi_theorem4)
 from duorth.errors import IdentityViolated, OrderExceeded
-from duorth.forms import require_equal
+from duorth.forms import combine, require_equal
 from duorth.poly import X
 
 from conftest import polynomials, rationals
@@ -141,6 +141,11 @@ def test_scalar_and_sum_ops():
     assert (u - u).is_zero()
 
 
+def test_combine_needs_a_pair():
+    assert combine([(X, form([1, 2, 3])), (Polynomial.constant(2), form([1, 1]))]
+                   ).moments == (R(4), R(5))
+    with pytest.raises(ValueError, match="combine needs at least one"):
+        combine([])
 
 
 @pytest.fixture(scope="module")

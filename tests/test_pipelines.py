@@ -10,9 +10,12 @@ from duorth import (DiffOperator, MomentForm, ParamSampler, Polynomial,
                     run_identities_operator, run_sweep, run_theorem4,
                     run_theorem5, forms, hahn, two_orth)
 from duorth.cli import main
+from duorth.errors import ZeroGamma
 from duorth.hahn import ClassicalSystem
 from duorth.pipelines import PASSED, UNMET, VIOLATED
 from duorth.poly import ONE, X
+
+from conftest import ROW_ENTRY
 
 R = Rational
 
@@ -405,6 +408,25 @@ def _failure(tag, where, lhs, rhs):
     return {"tag": tag, "where": where, "lhs": lhs, "rhs": rhs}
 
 
+def _recurrence_witness(nu, k):
+    """The failure of README_J at 28/14 once (u_nu)_k + 1 is read by R_nu
+    first, as moment k - 1 of x u_nu: the right side keeps the true
+    (u_nu)_k, the left side has it plus 1."""
+    P, _ = eigen_mps(README_J, 28)
+    true = two_orth.dual_sequence(P, 5, 28)[nu].moment(k)
+    return _failure(f"dual-recurrence(n={nu})", f"moment {k - 1}",
+                    str(true + 1), str(true))
+
+
+# three recurrence draws at seed 20250808 and, for the depth-20 sequence
+# run_identities_rc generates from each at 20/8, every (row k, coefficient)
+# entry of x P_k = P_{k+1} + beta_k P_k + alpha_k P_{k-1} + gamma_{k-1} P_{k-2}
+_ROUND_TRIP_SAMPLER = ParamSampler(20250808)
+_ROUND_TRIP_DRAWS = [_ROUND_TRIP_SAMPLER.recurrence(22) for _ in range(3)]
+_ROW_BUMPS = [(d, k, c) for d in range(3) for k in range(20)
+              for c in ("beta", "alpha", "gamma") if k >= ROW_ENTRY[c]]
+
+
 class TestNegativeControls:
     """A corrupted stage output must end in `violated` with the tag of the
     first identity it breaks."""
@@ -428,26 +450,38 @@ class TestNegativeControls:
 
     def test_orthogonality_sees_top_moment(self, monkeypatch):
         # the dual identities read u_0 to moment check_order + 2 at most
-        # (E_2 u_0 in Eq-u4); the top moment, 28, only the orthogonality
-        # rows read, and <u_0, P_28> becomes 1
+        # (E_2 u_0 in Eq-u4); the top moment, 28, only R_0's comparison to
+        # 27 in orthogonality_check reads, as moment 27 of x u_0
         _bumped_dual_moment(monkeypatch, 0, 28, lambda u, P: 1)
         res = run_theorem4(README_J, moment_order=28, check_order=14)
         assert res.status == VIOLATED
-        assert res.failure == _failure("orthogonality(nu=0,m=0)",
-                                       "<u_0, P_0 P_28>", "1", "0")
+        assert res.failure == _recurrence_witness(0, 28)
 
     @pytest.mark.parametrize("run", [run_theorem4, run_identities_operator])
     @pytest.mark.parametrize("nu, k", [(1, 28), (0, 17), (0, 20), (0, 27)])
     def test_orthogonality_names_loop_witness(self, monkeypatch, run, nu, k):
-        # moments above check_order + 2 = 16 only the orthogonality rows and
-        # the certificate's recurrence comparison to 27 read; the certificate
-        # refuses, and the rows name the pairing the full loop names first,
-        # <u_nu, P_0 P_k> = 1
+        # moments above check_order + 2 = 16 only orthogonality_check's
+        # recurrence comparison to 27 reads: R_nu names moment k - 1 of
+        # x u_nu, where the bump enters first (alpha_1 = 0 keeps (u_1)_28
+        # out of R_0)
         _bumped_dual_moment(monkeypatch, nu, k, lambda u, P: 1)
         res = run(README_J, moment_order=28, check_order=14)
         assert res.status == VIOLATED
-        assert res.failure == _failure(f"orthogonality(nu={nu},m=0)",
-                                       f"<u_{nu}, P_0 P_{k}>", "1", "0")
+        assert res.failure == _recurrence_witness(nu, k)
+
+    @pytest.mark.parametrize("run", [run_theorem4, run_identities_operator])
+    @pytest.mark.parametrize("nu, k", [(2, 20), (3, 20), (4, 27), (5, 25)])
+    def test_bumped_dual_past_check_order_is_named(self, monkeypatch, run,
+                                                   nu, k):
+        # u_2..u_5 enter no orthogonality row; a moment of theirs above
+        # check_order + 2 is named at moment k by R_{nu-2}, the first R_n
+        # whose right side reads u_nu (as gamma_{nu-1} u_nu)
+        _bumped_dual_moment(monkeypatch, nu, k, lambda u, P: 1)
+        res = run(README_J, moment_order=28, check_order=14)
+        assert res.status == VIOLATED
+        assert (res.failure["tag"], res.failure["where"]) == (
+            f"dual-recurrence(n={nu - 2})", f"moment {k}")
+        assert res.failure["lhs"] != res.failure["rhs"]
 
     @pytest.mark.parametrize("nu, k, failure", [
         (0, 0, _failure("dual-recurrence(n=0)", "moment 0", "1/3", "0")),
@@ -508,6 +542,29 @@ class TestNegativeControls:
             res = run_theorem4(README_J, moment_order=28, check_order=14)
             assert res.status == VIOLATED
             assert (res.failure["tag"], res.failure["where"]) == (tag, where)
+
+    @pytest.mark.parametrize("draw, k, coefficient", _ROW_BUMPS,
+                             ids=[f"{d}-{c}_{k - (c == 'gamma')}"
+                                  for d, k, c in _ROW_BUMPS])
+    def test_round_trip_names_every_row_bump(self, corrupt_structure_row,
+                                             draw, k, coefficient):
+        # the fit reads every row that dual_sequence reads, and the round
+        # trip runs before any dual is built: a bumped row entry is named
+        # by its coefficient, refitted (+1) against given. A gamma bumped
+        # to an explicit 0 entry, which structure_row never returns, stops
+        # the refit with ZeroGamma
+        rc = _ROUND_TRIP_DRAWS[draw]
+        n = k - (coefficient == "gamma")
+        given = getattr(rc, coefficient)(n)
+        corrupt_structure_row(k, coefficient)
+        if coefficient == "gamma" and given == -1:
+            with pytest.raises(ZeroGamma):
+                run_identities_rc(rc, moment_order=20, check_order=8)
+            return
+        res = run_identities_rc(rc, moment_order=20, check_order=8)
+        assert res.status == VIOLATED
+        assert res.failure == _failure("round-trip", f"{coefficient}_{n}",
+                                       str(given + 1), str(given))
 
     @pytest.mark.parametrize("field, i, where", [
         ("betas", 4, "P_5"), ("betas", 5, "P_6"), ("alphas", 4, "P_6"),
@@ -752,20 +809,16 @@ class TestOneIntermediatesPerVerdict:
 
 class TestTransportCertification:
     """An operator verdict's duals are certified by their construction from
-    J's transposed band recurrence: a passing verdict pairs no dual with
-    the P_m, runs verify_eigen once on P_0..P_check_order, and transposes
-    each dual once, for Eq-J(u_n). A corrupted lambda is named by that
-    verify_eigen call."""
+    J's transposed band recurrence: a passing verdict runs verify_eigen
+    once on P_0..P_check_order and transposes each dual once, for
+    Eq-J(u_n) (TestOrthogonalityCertification counts its pairings). A
+    corrupted lambda is named by that verify_eigen call."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        pairings, eigen, transposes = [], [], []
-        pair, verify = two_orth.check_biorthogonality, pipelines.verify_eigen
+        eigen, transposes = [], []
+        verify = pipelines.verify_eigen
         transpose = DiffOperator.transpose_apply
-
-        def counted_pair(P, duals, N):
-            pairings.append(N)
-            return pair(P, duals, N)
 
         def counted_verify(J, P, lam):
             eigen.append(len(P))
@@ -775,10 +828,9 @@ class TestTransportCertification:
             if not J.shifted_form:
                 transposes.append(u)
             return transpose(J, u)
-        monkeypatch.setattr(two_orth, "check_biorthogonality", counted_pair)
         monkeypatch.setattr(pipelines, "verify_eigen", counted_verify)
         monkeypatch.setattr(DiffOperator, "transpose_apply", counted_transpose)
-        return pairings, eigen, transposes
+        return eigen, transposes
 
     @pytest.mark.parametrize("run", [
         lambda: run_theorem4(README_J, moment_order=28, check_order=14),
@@ -788,50 +840,42 @@ class TestTransportCertification:
     ], ids=["theorem4", "theorem5", "identities-operator"])
     def test_passing_verdict(self, counts, run):
         assert run().status == PASSED
-        pairings, eigen, transposes = counts
-        assert (pairings, eigen) == ([], [15])
+        eigen, transposes = counts
+        assert eigen == [15]
         assert len(transposes) == 6 == len({id(u) for u in transposes})
 
     def test_corrupted_lambda_names_witness(self, counts, monkeypatch):
         _perturbed_lambda(monkeypatch)
         res = run_identities_operator(README_J, moment_order=28, check_order=14)
         assert res.failure["where"] == "n=3"
-        assert counts[:2] == ([], [15])
+        assert counts[0] == [15]
 
 
 class TestOrthogonalityCertification:
-    """A passing verdict certifies the d = 2 orthogonality zeros by the dual
-    recurrence: orthogonality_check computes only the six regularity
-    pairings, and the recurrence forms it reads are the ones
-    check_dual_identities built, so no left-multiplication is added. A
-    bumped moment the certificate sees makes it run every pairing."""
+    """A verdict computes no pairing except the six regularity pairings, on
+    both routes: the duals are biorthogonal by construction, and the d = 2
+    orthogonality zeros follow from the dual recurrence, whose forms
+    orthogonality_check takes from check_dual_identities, so no
+    left-multiplication is added. A bumped moment that R_n names is named
+    before any pairing."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        inside, pairings, mults = [], [], []
-        check, act, left = pipelines.orthogonality_check, forms.mact, forms.mleft
-
-        def counted_check(*args):
-            inside.append(True)
-            try:
-                return check(*args)
-            finally:
-                inside.pop()
+        pairings, mults = [], []
+        act, left = forms.mact, forms.mleft
 
         def counted_act(p, m):
-            if inside:
-                pairings.append(len(p))
+            pairings.append(len(p))
             return act(p, m)
 
         def counted_left(f, m):
             mults.append(len(f))
             return left(f, m)
-        monkeypatch.setattr(pipelines, "orthogonality_check", counted_check)
         monkeypatch.setattr(forms, "mact", counted_act)
         monkeypatch.setattr(forms, "mleft", counted_left)
         return pairings, mults
 
-    # the left-multiplications of each verdict before the certificate
+    # an upper bound on each verdict's left-multiplications
     @pytest.mark.parametrize("run, left_mults", [
         (lambda: run_theorem4(README_J, moment_order=28, check_order=14), 67),
         (lambda: run_theorem5(T5_J, T5_TAU, moment_order=28, check_order=14),
@@ -848,10 +892,9 @@ class TestOrthogonalityCertification:
         assert sorted(pairings) == [1, 2, 3, 4, 5, 6]
         assert len(mults) <= left_mults
 
-    def test_bumped_top_moment_runs_the_loop(self, counts, monkeypatch):
-        # (u_0)_28 + 1 is seen by R_0 at moment 27; row (0, 0) then pairs
-        # u_0 with P_0 (regularity) and P_1..P_28 before it fails
+    def test_bumped_top_moment_pairs_nothing(self, counts, monkeypatch):
+        # (u_0)_28 + 1 is seen by R_0 at moment 27 before any row runs
         _bumped_dual_moment(monkeypatch, 0, 28, lambda u, P: 1)
         res = run_theorem4(README_J, moment_order=28, check_order=14)
-        assert res.failure["where"] == "<u_0, P_0 P_28>"
-        assert sorted(counts[0]) == list(range(1, 30))
+        assert counts[0] == []
+        assert res.failure == _recurrence_witness(0, 28)

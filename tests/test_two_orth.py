@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (expand_in_basis, generate_reference, random_mps, rationals,
-                      structure_rows)
+from conftest import (check_biorthogonality, expand_in_basis, generate_reference,
+                      orthogonality_loop, random_mps, rationals, structure_rows)
 from duorth import (MomentForm, MPSPrefix, ParamSampler, Polynomial, Rational,
                     RecurrenceCoeffs, check_dual_identities, dual_pairs,
                     dual_sequence, eigen_mps, fit_2orth_recurrence, generate,
@@ -13,8 +13,7 @@ from duorth import (MomentForm, MPSPrefix, ParamSampler, Polynomial, Rational,
 from duorth.errors import (IdentityViolated, MissingCoefficient,
                            NotTwoOrthogonal, OrderExceeded, ZeroGamma)
 from duorth.poly import ONE, X
-from duorth.two_orth import (dual_recurrence, orthogonality_certificate,
-                             structure_row)
+from duorth.two_orth import dual_recurrence, structure_row
 
 R = Rational
 
@@ -260,14 +259,18 @@ class TestDualMoments:
         with pytest.raises(OrderExceeded):
             dual_sequence(P, 2, 7)  # P_7 missing
 
-    def test_corrupted_structure_row_fails_certification(self, sampler,
-                                                         corrupt_structure_row):
+    def test_corrupted_structure_row_breaks_biorthogonality(self, sampler,
+                                                            corrupt_structure_row):
+        # the duals are exact only as far as the rows they run through: a
+        # bumped gamma_1 in row 2 moves (u_0)_3 = gamma_1 + .., which the
+        # reference pairing names (a pipeline's round trip names the row
+        # before any dual is built)
         corrupt_structure_row(2)
         P = generate(sampler.recurrence(12), 12)
+        duals = dual_sequence(P, 5, 11)
         with pytest.raises(IdentityViolated) as err:
-            dual_sequence(P, 5, 11)
-        assert err.value.tag == "biorthogonality"
-        assert err.value.where == "<u_0, P_3>"  # (u_0)_3 = gamma_1 + ..
+            check_biorthogonality(P, duals, 11)
+        assert (err.value.tag, err.value.where) == ("biorthogonality", "<u_0, P_3>")
 
 
 class TestEABF:
@@ -356,26 +359,34 @@ class TestOrthogonality:
     def test_duality_rows(self, sampler):
         rc = sampler.recurrence(16)
         P = generate(rc, 16)
-        duals = dual_sequence(P, 1, 15)
-        report = orthogonality_check(P, duals, m_max=2)
+        duals = dual_sequence(P, 5, 15)
+        report = orthogonality_check(P, duals, 2, dual_recurrence(rc, duals))
         assert [item["tag"] for item in report.items] == [
             f"orthogonality(nu={nu},m={m})" for nu in (0, 1) for m in (0, 1, 2)]
+        assert report.to_tree() == orthogonality_loop(P, duals, 2).to_tree()
 
     def test_regularity_violation_detected(self, sampler):
-        # (u_1)_0 = 0, so (u_1)_1 = 0 gives <u_1, P_1> = 0
-        P = generate(sampler.recurrence(16), 16)
-        u0, u1 = dual_sequence(P, 1, 15)
-        bad = MomentForm([0, 0] + list(u1.moments[2:]))
+        # (u_1)_0 = 0, so (u_1)_1 = 0 gives <u_1, P_1> = 0. Rows m = 0 read
+        # no R_n; to m = 2, R_0 names moment 1, where alpha_1 (u_1)_1 enters
+        rc = sampler.recurrence(16)
+        P = generate(rc, 16)
+        duals = dual_sequence(P, 5, 15)
+        duals[1] = MomentForm([0, 0] + list(duals[1].moments[2:]))
         with pytest.raises(IdentityViolated) as err:
-            orthogonality_check(P, [u0, bad], m_max=2)
+            orthogonality_check(P, duals, 0, ())
         assert (err.value.tag, err.value.where) == (
             "regularity(nu=1,m=0)", "<u_1, P_0 P_1>")
+        with pytest.raises(IdentityViolated) as err:
+            orthogonality_check(P, duals, 2, dual_recurrence(rc, duals))
+        assert (err.value.tag, err.value.where) == (
+            "dual-recurrence(n=0)", "moment 1")
 
     def test_needs_u0_and_u1(self, sampler):
-        P = generate(sampler.recurrence(16), 16)
-        duals = dual_sequence(P, 1, 15)
+        rc = sampler.recurrence(16)
+        P = generate(rc, 16)
+        duals = dual_sequence(P, 5, 15)
         with pytest.raises(ValueError, match="need at least u_0, u_1"):
-            orthogonality_check(P, duals[:1], m_max=2)
+            orthogonality_check(P, duals[:1], 2, dual_recurrence(rc, duals))
 
     def test_specific_products(self, sampler):
         rc = sampler.recurrence(16)
@@ -407,17 +418,18 @@ _THEOREM_MPS = [(N, *entry) for N in (6, 7, 8, 16) for entry in _fitted_theorem_
 
 
 class TestOrthogonalityCertificate:
-    """orthogonality_certificate on duals that dual_sequence certified:
-    it accepts, and the certified rows give the loop's report; after one
-    moment k <= N of one dual is bumped it refuses, except for moment N of
-    u_4 or u_5, which no R_n compares to N - 1 and no row reads, and then
-    the loop still passes with the same report."""
+    """orthogonality_check on duals that dual_sequence built, which the
+    reference pairing finds biorthogonal: it gives the reference loop's
+    report; after one moment k <= N of one dual is bumped, R_0..R_3 name
+    a dual-recurrence(n=..) witness, except for moment N of u_4 or u_5,
+    which no R_n compares to N - 1 and no row reads, and then the loop
+    still passes with the same report."""
 
     @staticmethod
     def check(P, rc, N, data):
         duals = dual_sequence(P, 5, N)
-        assert orthogonality_certificate(dual_recurrence(rc, duals), 2, N)
-        loop = orthogonality_check(P, duals, 2).to_tree()
+        check_biorthogonality(P, duals, N)
+        loop = orthogonality_loop(P, duals, 2).to_tree()
         assert orthogonality_check(P, duals, 2,
                                    dual_recurrence(rc, duals)).to_tree() == loop
         nu = data.draw(st.integers(0, 5))
@@ -425,12 +437,14 @@ class TestOrthogonalityCertificate:
         moments = list(duals[nu].moments)
         moments[k] += data.draw(st.sampled_from([R(1), R(-1), R(1, 3)]))
         duals[nu] = MomentForm(moments)
-        accepted = orthogonality_certificate(dual_recurrence(rc, duals), 2, N)
-        assert accepted == (nu >= 4 and k == N)
-        if accepted:
+        if nu >= 4 and k == N:
             assert orthogonality_check(
                 P, duals, 2, dual_recurrence(rc, duals)).to_tree() == loop
-            assert orthogonality_check(P, duals, 2).to_tree() == loop
+            assert orthogonality_loop(P, duals, 2).to_tree() == loop
+        else:
+            with pytest.raises(IdentityViolated) as err:
+                orthogonality_check(P, duals, 2, dual_recurrence(rc, duals))
+            assert err.value.tag.startswith("dual-recurrence(n=")
 
     @given(st.integers(0, 10**6), st.integers(8, 30), st.data())
     @settings(max_examples=40, deadline=None)
@@ -447,27 +461,31 @@ class TestOrthogonalityCertificate:
         self.check(P, rc, N, data)
 
     def test_refuses_short_or_shallow_recurrence(self, sampler):
-        rc = sampler.recurrence(16)
-        P = generate(rc, 16)
-        duals = dual_sequence(P, 5, 15)
         # m_max = 2 needs R_0..R_3 (u_0..u_5) to order N - 1 = 14
-        assert orthogonality_certificate(dual_recurrence(rc, duals), 2, 15)
-        assert not orthogonality_certificate(dual_recurrence(rc, duals[:5]), 2, 15)
-        assert orthogonality_certificate(dual_recurrence(rc, duals[:4]), 1, 15)
-        assert not orthogonality_certificate(dual_recurrence(rc, duals), 3, 15)
-        assert not orthogonality_certificate(dual_recurrence(rc, duals), 2, 16)
+        rc = sampler.recurrence(17)
+        P = generate(rc, 17)
+        duals = dual_sequence(P, 5, 15)
+        orthogonality_check(P, duals, 2, dual_recurrence(rc, duals))
+        orthogonality_check(P, duals, 1, dual_recurrence(rc, duals[:4]))
+        deeper = dual_sequence(P, 1, 16)
+        for pair, m_max, recurrence, missing in (
+                (duals, 2, dual_recurrence(rc, duals[:5]), "R_3 to moment 14"),
+                (duals, 3, dual_recurrence(rc, duals), "R_4 to moment 14"),
+                (deeper, 2, dual_recurrence(rc, duals), "R_0 to moment 15")):
+            with pytest.raises(ValueError, match=f"needs {missing}"):
+                orthogonality_check(P, pair, m_max, recurrence)
 
     def test_top_moment_of_u4_u5_is_not_read(self, sampler):
         # moment N of u_4 and u_5 enters R_2 and R_3 at order N only, and
-        # the rows read u_0 and u_1 alone: the certificate accepts and the
-        # loop agrees
+        # the rows read u_0 and u_1 alone: the check and the loop agree
         rc = sampler.recurrence(16)
         P = generate(rc, 16)
         duals = dual_sequence(P, 5, 15)
-        loop = orthogonality_check(P, duals, 2).to_tree()
+        loop = orthogonality_loop(P, duals, 2).to_tree()
         for k in (4, 5):
             moments = list(duals[k].moments)
             moments[15] += 1
             duals[k] = MomentForm(moments)
-        assert orthogonality_certificate(dual_recurrence(rc, duals), 2, 15)
-        assert orthogonality_check(P, duals, 2).to_tree() == loop
+        assert orthogonality_check(P, duals, 2,
+                                   dual_recurrence(rc, duals)).to_tree() == loop
+        assert orthogonality_loop(P, duals, 2).to_tree() == loop
