@@ -166,7 +166,8 @@ class DiffOperator:
         diagonal holds lambda_n and the k-th superdiagonal lambda_{n+k}^[k].
 
         Columns are tuples, kept by the operator once built: a later call
-        extends them when it reaches further and reads a prefix otherwise."""
+        extends them when it reaches further and reads a prefix otherwise.
+        Any n_max < 0 gives the empty band, however far the kept one reaches."""
         if self.shifted_form:
             raise ValueError("band requires a normal-form operator")
         (a, den), order = self.integer_form(), max(self.order, 0)
@@ -185,7 +186,7 @@ class DiffOperator:
             cols.append(tuple(col))
         if cols:
             object.__setattr__(self, "_band", self._band + tuple(cols))
-        return self._band[: n_max + 1], den
+        return self._band[: max(n_max + 1, 0)], den
 
     def _band_solve(self, k: int, n: int) -> tuple:
         """(v, den): J's eigenvector for lambda_k on positions k..n of the

@@ -1,11 +1,13 @@
 """Linear functionals on polynomials as truncated moment sequences.
 
 A MomentForm of order N stores the moments (u)_0 .. (u)_N as integer
-numerators over one shared denominator: the canonical pair (nums, den)
-has len(nums) = N + 1, den > 0 and gcd(content(nums), den) = 1, so the
-zero form of order N is ((0,) * (N + 1), 1). The kernel primitives run on
-the integers and each result is reduced once; the moments are Rationals
-only at the boundary (moments, moment, act's value).
+numerators over one shared denominator, in the canonical pair (nums, den)
+of the exact vector core it shares with poly.Polynomial (storage,
+from_pair, equality, hash, negation, zero test): len(nums) = N + 1, so
+the zero form of order N is ((0,) * (N + 1), 1). The form's own kernel
+primitives (mleft, mderive, mact) run on the integers and each result is
+reduced once; the moments are Rationals only at the boundary (moments,
+moment, act's value).
 
 Every operation records the exact largest reliable order of its result:
 derivation keeps the order, left-multiplication by a polynomial of degree
@@ -18,17 +20,17 @@ from __future__ import annotations
 from typing import Iterable
 
 from .backend import Rat as Rational
-from .backend import mact, mderive, mleft, qcommon, qreduce
+from .backend import mact, mderive, mleft, qcommon
 from .errors import IdentityViolated, OrderExceeded
-from .poly import Polynomial, Scalar, as_rational, common_denominator
+from .poly import Polynomial, Scalar, _ExactVector, as_rational, common_denominator
 
 __all__ = ["MomentForm"]
 
 
-class MomentForm:
+class MomentForm(_ExactVector):
     """Truncated linear functional: moments (u)_n for 0 <= n <= order."""
 
-    __slots__ = ("nums", "den")
+    __slots__ = ()
 
     def __init__(self, moments: Iterable[Scalar]):
         nums, den = common_denominator(moments)
@@ -36,27 +38,11 @@ class MomentForm:
             raise ValueError("a moment form needs at least the moment (u)_0")
         self.nums, self.den = nums, den
 
-    @staticmethod
-    def _wrap(nums: tuple, den: int) -> "MomentForm":
-        """Wrap a pair that is canonical already."""
-        u = MomentForm.__new__(MomentForm)
-        u.nums, u.den = nums, den
-        return u
-
-    @staticmethod
-    def from_pair(nums: tuple, den: int) -> "MomentForm":
-        """The form nums/den (int nums, den != 0), reduced once to its
-        canonical pair."""
-        return MomentForm._wrap(*qreduce(nums, den))
-
     @classmethod
     def zero(cls, order: int) -> "MomentForm":
         return cls._wrap((0,) * (order + 1), 1)
 
-    @property
-    def moments(self) -> tuple:
-        """The moments as reduced Rationals."""
-        return tuple([Rational(m, self.den) for m in self.nums])
+    moments = property(_ExactVector._rationals, doc="The moments as reduced Rationals.")
 
     @property
     def order(self) -> int:
@@ -66,9 +52,6 @@ class MomentForm:
         if n > self.order:
             raise OrderExceeded(f"moment index {n} exceeds reliable order {self.order}")
         return Rational(self.nums[n], self.den)
-
-    def is_zero(self) -> bool:
-        return not any(self.nums)
 
     def act(self, p: Polynomial) -> Rational:
         """<u, p>; requires deg p <= order."""
@@ -106,24 +89,10 @@ class MomentForm:
         a, b, den = self._common(other)
         return self.from_pair(tuple([x - y for x, y in zip(a, b)]), den)
 
-    def __neg__(self) -> "MomentForm":
-        return self._wrap(tuple([-m for m in self.nums]), self.den)
-
     def __mul__(self, scalar) -> "MomentForm":
         s = as_rational(scalar)
         return self.from_pair(tuple([m * s.numerator for m in self.nums]),
                           self.den * s.denominator)
-
-    def __rmul__(self, scalar) -> "MomentForm":
-        return self.__mul__(scalar)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, MomentForm):
-            return self.nums == other.nums and self.den == other.den
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nums, self.den))
 
     def __repr__(self):
         shown = ", ".join(str(self.moment(n)) for n in range(min(6, len(self.nums))))

@@ -86,7 +86,15 @@ def _violated(report, exc: IdentityViolated):
                                              "lhs": exc.lhs, "rhs": exc.rhs})
 
 
+def _require_ints(**values):
+    """ValueError naming the first value that is not an int (a bool is not)."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer")
+
+
 def _check_orders(moment_order, check_order):
+    _require_ints(moment_order=moment_order, check_order=check_order)
     if moment_order < 6:
         raise ValueError("moment_order must be >= 6")
     if not 0 <= check_order <= moment_order - 4:
@@ -228,8 +236,9 @@ def run_identities_rc(rc: RecurrenceCoeffs, *, moment_order: int = 40,
     """Recurrence-level identity suite: generation round trip,
     biorthogonality, dual recurrence, u_2..u_5 decompositions, and the
     d = 2 orthogonality conditions. It has no operator, so dual_sequence
-    builds the duals from the structure rows. Needs moment_order >= 8 and
-    rc coefficients to depth 8 (ValueError otherwise)."""
+    builds the duals from the structure rows. Needs integer orders,
+    moment_order >= 8 and rc coefficients to depth 8 (ValueError otherwise)."""
+    _require_ints(moment_order=moment_order, check_order=check_order)
     if moment_order < 8:
         raise ValueError("moment_order must be >= 8 on the recurrence route")
     report = Report("identities")
@@ -264,8 +273,9 @@ def run_identities_operator(J: DiffOperator, *, moment_order: int = 40,
 def run_sweep(target: str, seed: int, draws: int, *, moment_order: int = 40,
               check_order: int = 24) -> dict:
     """Repeat the selected verification over seeded random admissible
-    parameter sets; any violated instance is dumped in full. Fewer than
-    one draw raises ValueError."""
+    parameter sets; any violated instance is dumped in full. A draw count
+    or order that is not an int, or fewer than one draw, raises ValueError."""
+    _require_ints(draws=draws, moment_order=moment_order, check_order=check_order)
     if draws < 1:
         raise ValueError("draws must be >= 1")
     sampler = ParamSampler(seed)

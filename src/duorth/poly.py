@@ -1,13 +1,17 @@
-"""Exact rational scalars and dense univariate polynomials.
+"""Exact rational scalars, dense univariate polynomials, and the exact
+vector core that polynomials and moment forms share.
 
 The scalar type Rational is the kernel's Rat, the stdlib Fraction.
-A Polynomial stores integer numerators over one shared denominator, as
-FLINT's fmpq_poly does: the canonical pair (nums, den) has ascending nums
-with no trailing zeros, den > 0 and gcd(content(nums), den) = 1, and the
-zero polynomial is ((), 1) with degree MINUS_INF. Arithmetic runs the
-kernel primitives on the integers and reduces once per result; the
-coefficients are Rationals only at the boundary (coeffs, __getitem__,
-leading), which no hot loop reads.
+Polynomial and forms.MomentForm both store integer numerators over one
+shared denominator, as FLINT's fmpq_poly does, in the canonical pair
+(nums, den): den > 0 and gcd(content(nums), den) = 1. One private base
+class owns that pair, its reduce-once constructor from_pair, type-strict
+equality and hashing, negation, the zero test and the Rational readout;
+each subclass keeps its own arithmetic. A Polynomial's nums ascend with
+no trailing zeros, and the zero polynomial is ((), 1) with degree
+MINUS_INF. Arithmetic runs the kernel primitives on the integers and
+reduces once per result; the coefficients are Rationals only at the
+boundary (coeffs, __getitem__, leading), which no hot loop reads.
 """
 from __future__ import annotations
 
@@ -41,28 +45,56 @@ def common_denominator(values) -> tuple:
     return tuple([r.numerator * (den // r.denominator) for r in rs]), den
 
 
-class Polynomial:
+class _ExactVector:
+    """An immutable vector of exact rationals stored as the canonical pair
+    (nums, den); subclasses define what the vector means and its arithmetic."""
+
+    __slots__ = ("nums", "den")
+
+    @classmethod
+    def _wrap(cls, nums: tuple, den: int):
+        """Wrap a pair that is canonical already."""
+        v = object.__new__(cls)
+        v.nums, v.den = nums, den
+        return v
+
+    @classmethod
+    def from_pair(cls, nums: tuple, den: int):
+        """The vector nums/den (int nums, den != 0; a polynomial's nums
+        without trailing zeros), reduced once to its canonical pair."""
+        return cls._wrap(*qreduce(nums, den))
+
+    def _rationals(self) -> tuple:
+        """The entries as reduced Rationals."""
+        return tuple([Rational(c, self.den) for c in self.nums])
+
+    def is_zero(self) -> bool:
+        return not any(self.nums)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            return self.nums == other.nums and self.den == other.den
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
+
+    def __neg__(self):
+        return self._wrap(pneg(self.nums), self.den)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+
+class Polynomial(_ExactVector):
     """Immutable dense polynomial over the exact rationals, stored as the
     canonical pair (nums, den)."""
 
-    __slots__ = ("nums", "den")
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         nums, den = common_denominator(coeffs)
         self.nums, self.den = pnorm(nums), den
-
-    @staticmethod
-    def _wrap(nums: tuple, den: int) -> "Polynomial":
-        """Wrap a pair that is canonical already."""
-        p = Polynomial.__new__(Polynomial)
-        p.nums, p.den = nums, den
-        return p
-
-    @staticmethod
-    def from_pair(nums: tuple, den: int) -> "Polynomial":
-        """The polynomial nums/den (int nums without trailing zeros, den != 0),
-        reduced once to its canonical pair."""
-        return Polynomial._wrap(*qreduce(nums, den))
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -76,18 +108,13 @@ class Polynomial:
     def monomial(cls, degree: int, c: Scalar = 1) -> "Polynomial":
         return cls([0] * degree + [c])
 
-    @property
-    def coeffs(self) -> tuple:
-        """The ascending coefficients as reduced Rationals."""
-        return tuple([Rational(c, self.den) for c in self.nums])
+    coeffs = property(_ExactVector._rationals,
+                      doc="The ascending coefficients as reduced Rationals.")
 
     @property
     def degree(self):
         """Degree as an int, or MINUS_INF for the zero polynomial."""
         return len(self.nums) - 1 if self.nums else MINUS_INF
-
-    def is_zero(self) -> bool:
-        return not self.nums
 
     def leading(self) -> Rational:
         if not self.nums:
@@ -105,14 +132,6 @@ class Polynomial:
     def __iter__(self):
         return iter(self.coeffs)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Polynomial):
-            return self.nums == other.nums and self.den == other.den
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nums, self.den))
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b, den = qcommon(self.nums, self.den, other.nums, other.den)
         return self.from_pair(padd(a, b), den)
@@ -121,17 +140,11 @@ class Polynomial:
         a, b, den = qcommon(self.nums, self.den, other.nums, other.den)
         return self.from_pair(psub(a, b), den)
 
-    def __neg__(self) -> "Polynomial":
-        return self._wrap(pneg(self.nums), self.den)
-
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             return self.from_pair(pmul(self.nums, other.nums), self.den * other.den)
         s = as_rational(other)
         return self.from_pair(pscale(self.nums, s.numerator), self.den * s.denominator)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def __truediv__(self, scalar):
         s = as_rational(scalar)

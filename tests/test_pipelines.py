@@ -11,7 +11,7 @@ from duorth import (DiffOperator, MomentForm, ParamSampler, Polynomial,
                     run_theorem5, forms, hahn, two_orth)
 from duorth.cli import main
 from duorth.errors import ZeroGamma
-from duorth.hahn import ClassicalSystem
+from duorth.hahn import ClassicalSystem, Intermediates
 from duorth.pipelines import PASSED, UNMET, VIOLATED
 from duorth.poly import ONE, X
 
@@ -199,6 +199,27 @@ class TestOrderValidation:
             run_theorem4(README_J, **orders)
         with pytest.raises(ValueError):
             run_theorem5(README_J, R(1), **orders)
+
+    @pytest.mark.parametrize("run, message", [
+        (lambda rc: run_theorem4(README_J, moment_order=28.0), "moment_order"),
+        (lambda rc: run_theorem4(README_J, moment_order=28, check_order=14.0),
+         "check_order"),
+        (lambda rc: run_theorem4(README_J, moment_order=28, check_order=True),
+         "check_order"),
+        (lambda rc: run_identities_rc(rc, moment_order=20.0), "moment_order"),
+        (lambda rc: run_sweep("verify-theorem4", 1, draws=2.0), "draws"),
+    ], ids=["theorem4-moment-float", "theorem4-check-float", "theorem4-check-bool",
+            "identities-rc-moment-float", "sweep-draws-float"])
+    def test_non_integer_orders_rejected_before_any_work(self, monkeypatch, sampler,
+                                                         run, message):
+        rc = sampler.recurrence(26)
+
+        def no_work(*args):
+            raise AssertionError("work ran before order validation")
+        for name in ("eigen_mps", "generate", "ParamSampler"):
+            monkeypatch.setattr(pipelines, name, no_work)
+        with pytest.raises(ValueError, match=f"^{message} must be an integer$"):
+            run(rc)
 
     def test_identities_operator_rejects_deep_check_order(self):
         with pytest.raises(ValueError):
@@ -689,6 +710,56 @@ class TestDualPairControls:
                                 moment_order=20, check_order=8)
         assert res.status == VIOLATED
         assert res.failure["tag"] == f"Eq-u{k}"
+
+
+class TestClosedFormAndLemmaControls:
+    """The closed forms Phi (theorem 4) and varpi (Table 1, theorem 5), and
+    the three fundamental-pair identities, each named through a pipeline by
+    one corrupted expansion polynomial."""
+
+    ORDERS = {"moment_order": 28, "check_order": 14}
+
+    @pytest.mark.parametrize("field, failure", [
+        ("f0", _failure("phi11", "closed form", "10/9", "1")),
+        ("f1", _failure("phi12", "closed form", "1/9", "0")),
+        ("pbar0", _failure("phi21", "closed form", "1", "0")),
+    ])
+    def test_theorem4_closed_form(self, monkeypatch, field, failure):
+        _bumped_intermediate(monkeypatch, field)
+        res = run_theorem4(README_J, **self.ORDERS)
+        assert res.status == VIOLATED
+        assert res.failure == failure
+
+    @pytest.mark.parametrize("field, failure", [
+        ("f0", _failure("Table-1-varpi11", "closed form", "5/6", "1")),
+        ("f1", _failure("Table-1-varpi12", "closed form", "-1/6", "0")),
+        ("pbar0", _failure("Table-1-varpi21", "closed form", "1", "0")),
+        ("pbar1", _failure("Table-1-varpi22", "closed form", "2", "1")),
+    ])
+    def test_theorem5_closed_form(self, monkeypatch, field, failure):
+        _bumped_intermediate(monkeypatch, field)
+        res = run_theorem5(T5_J, T5_TAU, **self.ORDERS)
+        assert res.status == VIOLATED
+        assert res.failure == failure
+
+    @pytest.mark.parametrize("field, failure", [
+        ("p0", _failure("Eq-Da2u0", "moment 0", "0", "2")),
+        ("f0", _failure("Eq-Da2u1", "moment 1", "-9", "-10")),
+        ("pbar0", _failure("Eq-Dcomplete", "moment 1", "-1", "0")),
+    ])
+    def test_lemma_identity(self, monkeypatch, field, failure):
+        # only the lemma stage sees the bump: every earlier stage reads the
+        # true intermediates, so none of them can name it first
+        check = pipelines.lemma_identities_check
+
+        def corrupted(it, duals, M):
+            fields = {name: getattr(it, name) for name in Intermediates.__slots__}
+            fields[field] += ONE
+            return check(Intermediates(**fields), duals, M)
+        monkeypatch.setattr(pipelines, "lemma_identities_check", corrupted)
+        res = run_theorem4(README_J, **self.ORDERS)
+        assert res.status == VIOLATED
+        assert res.failure == failure
 
 
 def _first_theorem4_draw(shape):

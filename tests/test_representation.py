@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from duorth import DiffOperator, MomentForm, Polynomial, Rational
+from duorth import DiffOperator, MomentForm, Polynomial, Rational, eigen_mps
 from duorth.backend import kernel
 from duorth.forms import combine
 from duorth.serialize import form_to_list, poly_to_list
@@ -133,6 +133,21 @@ class TestMomentFormOps:
         assert (z.nums, z.den) == ((0, 0, 0), 1) and z == MomentForm.zero(2)
 
 
+def test_shared_core_equality_is_type_strict():
+    """A polynomial and a form with the same (nums, den) pair are unequal;
+    equal values of one type are equal and hash alike."""
+    p, u = Polynomial([R(1, 2), 3]), MomentForm([R(1, 2), 3])
+    assert (p.nums, p.den) == (u.nums, u.den) == ((1, 6), 2)
+    assert p != u and u != p
+    assert Polynomial.from_pair((2, 12), 4) == p
+    assert hash(Polynomial.from_pair((2, 12), 4)) == hash(p)
+    assert MomentForm.from_pair((-2, -12), -4) == u
+    assert hash(MomentForm.from_pair((-2, -12), -4)) == hash(u)
+    assert -p == Polynomial([R(-1, 2), -3]) and -u == MomentForm([R(-1, 2), -3])
+    assert type(-u) is MomentForm and type(3 * p) is Polynomial
+    assert len({p, u, Polynomial([R(1, 2), 3]), MomentForm([R(1, 2), 3])}) == 2
+
+
 def test_text_output_unchanged():
     p = Polynomial([R(1, 2), -3, R(4, 6), 0, 1])
     assert str(p) == "1/2 + (-3)x + (2/3)x^2 + x^4"
@@ -225,3 +240,27 @@ def test_band_and_lambda_seq_refuse_a_shifted_operator(sampler):
     for read in (lambda: J.band(4), lambda: J.lambda_seq(0, 4)):
         with pytest.raises(ValueError, match="band requires a normal-form operator"):
             read()
+
+
+README_J = DiffOperator([Polynomial([2]), Polynomial([-1, 3]), Polynomial.zero(),
+                         Polynomial([1])])
+
+
+# the sizes of what each read returns: band columns, lambdas, (P, lambdas)
+NEGATIVE_READS = {
+    "band": lambda J, n: len(J.band(n)[0]),
+    "lambda_seq": lambda J, n: len(J.lambda_seq(0, n)),
+    "eigen_mps": lambda J, n: tuple(map(len, eigen_mps(J, n))),
+}
+
+
+@pytest.mark.parametrize("n_max", [-1, -3])
+@pytest.mark.parametrize("read", NEGATIVE_READS)
+def test_negative_reads_ignore_a_warm_band(read, n_max):
+    """A negative degree reads nothing, whether or not the operator already
+    keeps a longer band."""
+    empty = (0, 0) if read == "eigen_mps" else 0
+    assert NEGATIVE_READS[read](DiffOperator(README_J.a), n_max) == empty
+    warm = DiffOperator(README_J.a)
+    warm.band(10)
+    assert NEGATIVE_READS[read](warm, n_max) == empty
