@@ -8,7 +8,7 @@ structured JSON report (--out) and prints a one-line verdict.
 
 Exit codes: 0 all checks passed, 1 identity violated (or negative Hahn
 verdict), 2 hypotheses unmet / instance outside theorem scope, 3 input
-error (including a report path that cannot be written).
+error (a malformed command line, a bad config or an unwritable report path).
 """
 from __future__ import annotations
 
@@ -39,8 +39,15 @@ class InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: argparse's exit 2 means unmet here."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="duorth",
         description="Exact verification of 2-orthogonal eigenpolynomial "
                     "families of third-order operators")
@@ -262,8 +269,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _load_config(args)
         code, results, verdict = _HANDLERS[args.mode](cfg)
         report = {

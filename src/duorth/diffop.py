@@ -2,8 +2,8 @@
 
 An operator is a finite list of polynomial coefficients a_nu with
 deg a_nu <= nu, acting on polynomials as sum_nu a_nu(x) p^(nu)(x) / nu!.
-The same coefficient list drives the action on polynomials, the shifted
-operators, the transpose action on moment forms, and the operator's band:
+The same coefficient list drives the action on polynomials, the transpose
+actions on moment forms of J and of its shifts J^(m), and the operator's band:
 its upper-triangular matrix in the monomial basis, whose diagonal and
 superdiagonals hold the lambda scalars of the eigen-solve and of the
 lowering-order classification. One fraction-free triangular solve of the
@@ -38,26 +38,20 @@ __all__ = ["DiffOperator", "LoweringClass"]
 
 
 class DiffOperator:
-    """Immutable operator sum_nu a_nu(x)/nu! D^nu.
+    """Immutable operator sum_nu a_nu(x)/nu! D^nu in normal form,
+    deg a_nu <= nu, so it never raises the degree of a polynomial."""
 
-    Normal form requires deg a_nu <= nu. Operators produced by shifted()
-    with m >= 1 break that bound (entry n may reach degree n+m); they are
-    flagged and rejected by classify_order.
-    """
+    __slots__ = ("a", "_integer", "_band")
 
-    __slots__ = ("a", "shifted_form", "_integer", "_band")
-
-    def __init__(self, coefficients: Sequence[Polynomial], *, _shifted: bool = False):
+    def __init__(self, coefficients: Sequence[Polynomial]):
         coeffs = list(coefficients)
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
-        if not _shifted:
-            for nu, a_nu in enumerate(coeffs):
-                if a_nu.degree > nu:
-                    raise ValueError(
-                        f"normal form violated: deg a_{nu} = {a_nu.degree} > {nu}")
+        for nu, a_nu in enumerate(coeffs):
+            if a_nu.degree > nu:
+                raise ValueError(
+                    f"normal form violated: deg a_{nu} = {a_nu.degree} > {nu}")
         object.__setattr__(self, "a", tuple(coeffs))
-        object.__setattr__(self, "shifted_form", _shifted)
         object.__setattr__(self, "_integer", None)
         object.__setattr__(self, "_band", ())
 
@@ -86,10 +80,6 @@ class DiffOperator:
                           for p, d in zip(self.a, dens)])
             object.__setattr__(self, "_integer", (nums, den))
         return self._integer
-
-    def max_coeff_degree(self) -> int:
-        degs = [p.degree for p in self.a if not p.is_zero()]
-        return max(degs) if degs else 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, DiffOperator):
@@ -123,36 +113,32 @@ class DiffOperator:
                 acc[i] += c
         return Polynomial.from_pair(pnorm(acc), den * p.den)
 
-    def shifted(self, m: int) -> "DiffOperator":
-        """The operator with coefficient list a_{n+m}; transposing it gives
-        the J^(m) action on forms."""
+    def transpose_apply(self, u: MomentForm, m: int = 0) -> MomentForm:
+        """The transpose of J^(m) = sum_nu a_(nu+m) D^nu / nu!, the action
+        sum_nu ((-1)^nu / nu!) D^nu(a_(nu+m) u); m = 0 gives J's own.
+
+        Since (D w)_i = -i (w)_(i-1), the term of a_(nu+m) has the moments
+        C(i, nu) (a_(nu+m) u)_(i-nu): the result is one forms.mleft per
+        nonzero a_(nu+m), read from J's integer form and summed with
+        binomial weights over den * u.den, reduced once. It is reliable to
+        u.order - max degree of the a_(nu+m).
+        """
         if m < 0:
             raise ValueError("shift must be nonnegative")
-        if m == 0:
-            return self
-        return DiffOperator(self.a[m:], _shifted=True)
-
-    def transpose_apply(self, u: MomentForm) -> MomentForm:
-        """The transposed action sum_nu ((-1)^nu / nu!) D^nu(a_nu u).
-
-        Since (D w)_m = -m (w)_(m-1), the term of a_nu has the moments
-        C(m, nu) (a_nu u)_(m-nu): the result is one forms.mleft per nonzero
-        a_nu, summed with binomial weights over den * u.den and reduced
-        once. It is reliable to u.order - max coefficient degree.
-        """
-        top = self.max_coeff_degree()
-        need = max(self.order, 0) + top
+        nums, den = self.integer_form()
+        nums = nums[m:]
+        top = max(map(len, nums), default=1) - 1
+        need = max(len(nums) - 1, 0) + top
         if u.order < need:
             raise OrderExceeded(
                 f"transpose needs order >= {need}, form has {u.order}")
-        nums, den = self.integer_form()
         acc = [0] * (u.order - top + 1)
         for nu, a_nu in enumerate(nums):
             if not a_nu:
                 continue
             w = forms.mleft(a_nu, u.nums)
-            for m in range(nu, len(acc)):
-                acc[m] += comb(m, nu) * w[m - nu]
+            for i in range(nu, len(acc)):
+                acc[i] += comb(i, nu) * w[i - nu]
         return MomentForm.from_pair(tuple(acc), den * u.den)
 
     def band(self, n_max: int) -> tuple:
@@ -168,8 +154,6 @@ class DiffOperator:
         Columns are tuples, kept by the operator once built: a later call
         extends them when it reaches further and reads a prefix otherwise.
         Any n_max < 0 gives the empty band, however far the kept one reaches."""
-        if self.shifted_form:
-            raise ValueError("band requires a normal-form operator")
         (a, den), order = self.integer_form(), max(self.order, 0)
         cols = []
         for n in range(len(self._band), n_max + 1):
@@ -232,8 +216,6 @@ class DiffOperator:
     def classify_order(self, n_check: int) -> "LoweringClass":
         """Determine the lowering order k: a_0 = .. = a_{k-1} = 0,
         deg a_nu <= nu - k, and lambda_{n+k}^[k] != 0 for 0 <= n <= n_check."""
-        if self.shifted_form:
-            raise ValueError("classify_order requires a normal-form operator")
         if n_check < 1:
             raise ValueError("n_check must be >= 1")
         k = None

@@ -1,15 +1,15 @@
 """Hahn-classicality machinery for third-order operator eigenpairs.
 
 Given an isomorphism J = a_0 I + a_1 D + a_2/2 D^2 + a_3/6 D^3 whose monic
-eigenpolynomials are 2-orthogonal, the shifted transpose actions on the
-regular vector (u_0, u_1) expand as J^(1)(u_0) = p_0 u_0 + p_1 u_1 and so
-on; `intermediates` gates the normal form and builds those coefficient
-polynomials once per (J, rc) from the dual pairs u_k = c0 u_0 + c1 u_1
-(two_orth.dual_pairs). Its `Intermediates` feeds three functional
-identities and the matrix system D(Phi U) + Psi U = 0 of both classicality
-theorems, beside the derivative-sequence (Hahn) test. The source identities
-Eq-7.1..Eq-8.2 are J applied to the pairs of u_2..u_5 by the Leibniz rule.
-`check_scope` is the a_1 coupling both theorems share.
+eigenpolynomials are 2-orthogonal, the transposes of the operators J^(m) =
+sum_nu a_(nu+m) D^nu / nu! (J.transpose_apply(u, m)) on the regular vector
+(u_0, u_1) expand as J^(1)(u_0) = p_0 u_0 + p_1 u_1 and so on; `intermediates`
+gates the order and builds those coefficient polynomials once per (J, rc) from
+the dual pairs u_k = c0 u_0 + c1 u_1 (two_orth.dual_pairs). Its `Intermediates`
+feeds three functional identities and the matrix system D(Phi U) + Psi U = 0 of
+both classicality theorems, beside the derivative-sequence (Hahn) test. The
+source identities Eq-7.1..Eq-8.2 are J applied to the pairs of u_2..u_5 by the
+Leibniz rule. `check_scope` is the a_1 coupling both theorems share.
 """
 from __future__ import annotations
 
@@ -83,7 +83,7 @@ class Intermediates:
 def intermediates(J: DiffOperator, rc: RecurrenceCoeffs) -> Intermediates:
     """Build p/f/pbar/fbar from the lambda scalars of J and the dual pairs
     of rc up to u_5 (rc must reach index 4)."""
-    if J.shifted_form or J.order > 3:
+    if J.order > 3:
         raise HypothesisViolated("third-order normal-form operator",
                                  witness=f"order {J.order}")
     lam = J.lambda_seq(0, 5)
@@ -114,7 +114,7 @@ def intermediates(J: DiffOperator, rc: RecurrenceCoeffs) -> Intermediates:
 
 def j_expansion_check(it: Intermediates, duals: Sequence[MomentForm],
                       M: int) -> Report:
-    """Verify the four shifted-transpose expansions (tags Eq-9.1..Eq-9.4),
+    """Verify the four J^(m) transpose expansions (tags Eq-9.1..Eq-9.4),
     the eigen transport J(u_n) = lambda_n u_n on the available duals, and
     the source identities Eq-7.1, Eq-7.2, Eq-8.1, Eq-8.2, all moment-wise
     to order M. Needs duals u_0..u_5 carrying order >= M + 4."""
@@ -130,7 +130,7 @@ def j_expansion_check(it: Intermediates, duals: Sequence[MomentForm],
         report.add(f"Eq-J(u_n)(n={n})", horizon=M)
 
     # jets[nu][j] = J^(j)(u_nu), with J^(0)(u_nu) = lambda_nu u_nu
-    jets = [[lam[nu] * u] + [J.shifted(j).transpose_apply(u) for j in (1, 2)]
+    jets = [[lam[nu] * u] + [J.transpose_apply(u, j) for j in (1, 2)]
             for nu, u in enumerate((u0, u1))]
     expansions = (
         ("Eq-9.1", jets[0][1], it.p0, it.p1),

@@ -265,7 +265,7 @@ def run_identities_rc(rc: RecurrenceCoeffs, *, moment_order: int = 40,
 def run_identities_operator(J: DiffOperator, *, moment_order: int = 40,
                             check_order: int = 24) -> InstanceResult:
     """Operator-level identity suite: eigensolve, fit, then the recurrence
-    suite plus the shifted-transpose expansions and the fundamental-pair
+    suite plus the J^(m) transpose expansions and the fundamental-pair
     identities (no theorem-specific hypotheses)."""
     return _drive("identities", J, moment_order, check_order)
 
@@ -273,13 +273,13 @@ def run_identities_operator(J: DiffOperator, *, moment_order: int = 40,
 def run_sweep(target: str, seed: int, draws: int, *, moment_order: int = 40,
               check_order: int = 24) -> dict:
     """Repeat the selected verification over seeded random admissible
-    parameter sets; any violated instance is dumped in full. A draw count
-    or order that is not an int, or fewer than one draw, raises ValueError."""
-    _require_ints(draws=draws, moment_order=moment_order, check_order=check_order)
+    parameter sets; any violated instance is dumped in full. An unknown
+    target, a non-int seed, draw count or order, or no draw raises ValueError."""
+    orders = {"moment_order": moment_order, "check_order": check_order}
+    _require_ints(seed=seed, draws=draws, **orders)
     if draws < 1:
         raise ValueError("draws must be >= 1")
     sampler = ParamSampler(seed)
-    orders = {"moment_order": moment_order, "check_order": check_order}
 
     def theorem4():
         draw = sampler.sample_theorem4(moment_order)
@@ -293,13 +293,13 @@ def run_sweep(target: str, seed: int, draws: int, *, moment_order: int = 40,
         return {}, run_identities_rc(sampler.recurrence(moment_order + 2), **orders)
 
     draw_and_run = {"verify-theorem4": theorem4, "verify-theorem5": theorem5,
-                    "verify-identities": identities}.get(target)
-    if draw_and_run is None:
+                    "verify-identities": identities}
+    if not isinstance(target, str) or target not in draw_and_run:
         raise ValueError(f"unknown sweep target {target!r}")
     counts = {PASSED: 0, UNMET: 0, VIOLATED: 0}
     entries = []
     for index in range(draws):
-        draw, result = draw_and_run()
+        draw, result = draw_and_run[target]()
         entry = {"draw": index, "status": result.status}
         if "shape" in draw:
             entry["shape"] = draw["shape"]

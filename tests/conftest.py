@@ -1,10 +1,10 @@
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import strategies as st
 
-from duorth import (DiffOperator, MPSPrefix, ParamSampler, Polynomial, Rational,
-                    RecurrenceCoeffs, two_orth)
+from duorth import (DiffOperator, MomentForm, MPSPrefix, ParamSampler, Polynomial,
+                    Rational, RecurrenceCoeffs, two_orth)
 from duorth.errors import IdentityViolated, OrderExceeded
 from duorth.reporting import Report
 from duorth.poly import ONE, X
@@ -70,6 +70,37 @@ def random_operator(sampler, max_order: int = 3, lowering: int | None = None) ->
     for nu in range(k, max_order + 1):
         coeffs.append(sampler.poly(sampler.rng.randint(0, nu - k)))
     return DiffOperator(coeffs)
+
+
+def chain_apply(a, p: Polynomial) -> Polynomial:
+    """Reference sum_nu a[nu] p^(nu) / nu! by the derivative chain, added
+    term by term; a = J.a[m:] gives J^(m)(p)."""
+    out = Polynomial.zero()
+    d = p
+    for nu, a_nu in enumerate(a):
+        if nu > 0:
+            d = d.derivative()
+        if d.is_zero():
+            break
+        if not a_nu.is_zero():
+            out = out + (a_nu * d) / factorial(nu)
+    return out
+
+
+def chain_transpose_apply(a, u: MomentForm) -> MomentForm:
+    """Reference sum_nu ((-1)^nu / nu!) D^nu(a[nu] u) by the derivative
+    chain, added term by term (each sum clamps to the shallower order);
+    a = J.a[m:] gives the transpose of J^(m)."""
+    out = None
+    for n, a_n in enumerate(a):
+        if a_n.is_zero():
+            continue
+        term = u.left_mul(a_n)
+        for _ in range(n):
+            term = term.derivative()
+        term = term * Rational((-1) ** n, factorial(n))
+        out = term if out is None else out + term
+    return MomentForm.zero(u.order) if out is None else out
 
 
 def random_mps(sampler, n_max: int) -> list:

@@ -366,6 +366,29 @@ class TestInputErrors:
         assert capsys.readouterr().err == f"input error: {message}\n"
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["verify-theorem4", "--order", "abc"],
+                     "argument --order: invalid int value: 'abc'", id="order-not-int"),
+        pytest.param(["nosuchmode"], "invalid choice: 'nosuchmode'", id="unknown-mode"),
+        pytest.param(["sweep", "--target", "bogus"],
+                     "argument --target: invalid choice: 'bogus'", id="unknown-sweep-target"),
+    ])
+    def test_malformed_command_line(self, tmp_path, capsys, argv, message):
+        # a usage error exits 3 like a bad config, not argparse's 2, which
+        # would read as hypotheses unmet
+        out = tmp_path / "r.json"
+        assert run_cli([*argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify-theorem4", "-h"])
+        assert exc.value.code == 0
+        assert "--check-order" in capsys.readouterr().out
+
     def test_tau_required_when_a2_zero(self, tmp_path):
         cfg = write_config(tmp_path, "t5z.json",
                            {"operator": [["2"], ["-1", "3"], [], ["1"]]})

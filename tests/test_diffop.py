@@ -1,4 +1,4 @@
-"""Operator action, shifted operators, transpose duality, Leibniz rules,
+"""Operator action, transposes of J^(m), transpose duality, Leibniz rules,
 lowering-order classification, lambda scalars, image sequences."""
 from math import factorial
 
@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (jimage_mps, operators, polynomials, random_mps,
-                      random_operator, rationals)
+from conftest import (chain_apply, chain_transpose_apply, jimage_mps,
+                      operators, polynomials, random_mps, random_operator,
+                      rationals)
 from duorth import (DiffOperator, MomentForm, Polynomial, Rational,
                     dual_sequence, eigen_mps, forms, poly)
 from duorth.errors import OrderExceeded
@@ -37,54 +38,25 @@ def rand_iso(sampler, max_order=3):
             return J
 
 
-def chain_apply(J, p):
-    """Reference J(p) by the derivative chain: a_nu p^(nu) / nu!, added
-    term by term."""
-    out = Polynomial.zero()
-    d = p
-    for nu, a_nu in enumerate(J.a):
-        if nu > 0:
-            d = d.derivative()
-        if d.is_zero():
-            break
-        if not a_nu.is_zero():
-            out = out + (a_nu * d) / factorial(nu)
-    return out
-
-
-def chain_transpose_apply(J, u):
-    """Reference transpose by the derivative chain: ((-1)^n / n!) D^n(a_n u),
-    added term by term (each sum clamps to the shallower order)."""
-    out = None
-    for n, a_n in enumerate(J.a):
-        if a_n.is_zero():
-            continue
-        term = u.left_mul(a_n)
-        for _ in range(n):
-            term = term.derivative()
-        term = term * R((-1) ** n, factorial(n))
-        out = term if out is None else out + term
-    return MomentForm.zero(u.order) if out is None else out
-
-
 class TestBinomialActions:
     """apply and transpose_apply against the derivative-chain references,
-    on normal-form operators, their shifts (whose degree may rise) and the
-    zero operator."""
+    on normal-form operators J, the transposes of their shifts J^(m) (whose
+    coefficient degrees may exceed nu) and the zero operator."""
 
     @given(operators(), st.integers(min_value=0, max_value=3),
            polynomials(9), st.lists(rationals(), min_size=24, max_size=24),
            st.integers(min_value=0, max_value=6))
     @settings(max_examples=120, deadline=None)
     def test_matches_derivative_chain(self, J, m, p, moments, extra):
-        J = J.shifted(m)
-        assert J.apply(p) == chain_apply(J, p)
-        need = max(J.order, 0) + J.max_coeff_degree()
+        assert J.apply(p) == chain_apply(J.a, p)
+        a = J.a[m:]
+        top = max((c.degree for c in a if not c.is_zero()), default=0)
+        need = max(len(a) - 1, 0) + top
         for order in (need, need + extra):
             u = MomentForm(moments[: order + 1])
-            got = J.transpose_apply(u)
-            assert got == chain_transpose_apply(J, u)
-            assert got.order == u.order - J.max_coeff_degree()
+            got = J.transpose_apply(u, m)
+            assert got == chain_transpose_apply(a, u)
+            assert got.order == u.order - top
 
     def test_kernel_seam(self, monkeypatch, sampler):
         """One poly.pmul per nonzero a_nu with nu <= deg p and one
@@ -102,15 +74,15 @@ class TestBinomialActions:
         counted(poly, "pmul")
         counted(forms, "mleft")
         for _ in range(10):
-            J = random_operator(sampler, 5).shifted(sampler.rng.randint(0, 2))
+            J, m = random_operator(sampler, 5), sampler.rng.randint(0, 2)
             p = sampler.poly(sampler.rng.randint(0, 4))
             u = MomentForm([sampler.rat() for _ in range(20)])
             calls.update(pmul=0, mleft=0)
             J.apply(p)
             assert calls["pmul"] == sum(1 for nu, a in enumerate(J.a)
                                         if nu <= p.degree and not a.is_zero())
-            J.transpose_apply(u)
-            assert calls["mleft"] == sum(1 for a in J.a if not a.is_zero())
+            J.transpose_apply(u, m)
+            assert calls["mleft"] == sum(1 for a in J.a[m:] if not a.is_zero())
 
 
 class TestApply:
@@ -149,26 +121,26 @@ class TestNormalForm:
 class TestShifted:
     def test_zero_shift_is_identity(self):
         J = op([1], [2, 3], [1, 0, 2])
-        assert J.shifted(0) == J
+        u = MomentForm([1, 2, 3, 4, 5, 6])
+        assert J.transpose_apply(u, 0) == J.transpose_apply(u)
+        assert J.transpose_apply(u) == chain_transpose_apply(J.a, u)
 
     def test_shift_three_multiplies_by_a3(self, sampler):
         a3 = sampler.poly(3)
         J = DiffOperator([ONE, X, Polynomial.zero(), a3])
         u = MomentForm([sampler.rat() for _ in range(12)])
-        shifted = J.shifted(3)
-        assert shifted.transpose_apply(u).moments == u.left_mul(a3).moments
+        assert J.transpose_apply(u, 3).moments == u.left_mul(a3).moments
 
     def test_shift_past_order_is_zero(self):
         J = op([1], [0, 1], [], [1, 0, 0, 1])
-        z = J.shifted(4)
-        assert z.order == -1
         u = MomentForm([1, 2, 3])
-        assert z.transpose_apply(u).is_zero()
+        z = J.transpose_apply(u, 4)
+        assert z.is_zero() and z.order == u.order
 
-    def test_classify_rejects_shifted(self):
+    def test_negative_shift_raises(self):
         J = op([1], [0, 1], [], [1, 0, 0, 1])
-        with pytest.raises(ValueError):
-            J.shifted(1).classify_order(4)
+        with pytest.raises(ValueError, match="shift must be nonnegative"):
+            J.transpose_apply(MomentForm([1, 2, 3, 4, 5, 6, 7]), -1)
 
 
 class TestTranspose:
@@ -193,7 +165,7 @@ class TestTranspose:
             a1, a2, a3 = sampler.poly(1), sampler.poly(2), sampler.poly(3)
             J = DiffOperator([Polynomial([sampler.rat()]), a1, a2, a3])
             u = MomentForm([sampler.rat() for _ in range(16)])
-            built = J.shifted(1).transpose_apply(u)
+            built = J.transpose_apply(u, 1)
             manual = (u.left_mul(a1) - u.left_mul(a2).derivative()
                       + R(1, 2) * u.left_mul(a3).derivative().derivative())
             require_equal(built, manual, min(built.order, manual.order), "J^(1)")
@@ -283,7 +255,7 @@ class TestLeibniz:
                         d = d.derivative()
                     if d.is_zero() and n > 0:
                         break
-                    acc = acc + J.shifted(n).apply(a) * d / factorial(n)
+                    acc = acc + chain_apply(J.a[n:], a) * d / factorial(n)
                 assert acc == lhs
 
     def test_product_with_form_third_order(self, sampler):
@@ -298,7 +270,7 @@ class TestLeibniz:
             rhs = J.transpose_apply(u).left_mul(f)
             sign = -1
             for n in range(1, 4):
-                term = J.shifted(n).transpose_apply(u).left_mul(f.derivative(n))
+                term = J.transpose_apply(u, n).left_mul(f.derivative(n))
                 rhs = rhs + sign * R(1, factorial(n)) * term
                 sign = -sign
             require_equal(lhs, rhs, min(lhs.order, rhs.order), "Leibniz")

@@ -170,10 +170,30 @@ class TestSweep:
             run_sweep("verify-identities", seed=1, draws=draws)
 
 
+    @pytest.mark.parametrize("target, seed", [
+        ("verify-theorem4", None), ("verify-theorem4", "7"),
+        ("verify-theorem4", True), ("verify-theorem4", 1.5),
+        ("verify-theorem4", [1]), (["x"], 1), (None, 1),
+    ], ids=["seed-None", "seed-str", "seed-bool", "seed-float", "seed-list",
+            "target-list", "target-None"])
+    def test_bad_seed_or_target_rejected(self, monkeypatch, target, seed):
+        # None used to give a different sweep per call, recorded as
+        # "seed": null; a list seed or target raised a stray TypeError
+        def no_draw(self, *args):
+            raise AssertionError("drew before validating seed and target")
+        for method in ("sample_theorem4", "sample_theorem5", "recurrence"):
+            monkeypatch.setattr(ParamSampler, method, no_draw)
+        with pytest.raises(ValueError, match="seed must be an integer|unknown sweep target"):
+            run_sweep(target, seed=seed, draws=2, moment_order=12, check_order=8)
+
 README_J = family4(R(2), R(-1), R(3))
 T5_J = DiffOperator([Polynomial([5]), Polynomial([R(1, 2), -2]),
                      Polynomial([R(3, 2)]), ONE])
 T5_TAU = R(2, 3)
+# a non-Appell qualifying operator: 1/3 + (2 - 2x) D + (1 - 2x)^2 D^3/6,
+# whose derivative sequence Q differs from P, and whose a_3 is not constant
+J_SQ = DiffOperator([Polynomial([R(1, 3)]), Polynomial([2, -2]), Polynomial.zero(),
+                     Polynomial([1, -4, 4])])
 
 
 def _orthogonality_horizons(res):
@@ -351,14 +371,14 @@ def _perturbed_alpha1(monkeypatch):
     _bumped_fit(monkeypatch, "alphas", 0)
 
 
-def _bumped_intermediate(monkeypatch, field):
-    """Add ONE to the polynomial `field` of the intermediates that
+def _bumped_intermediate(monkeypatch, field, by=ONE):
+    """Add `by` to the polynomial `field` of the intermediates that
     pipelines.intermediates builds."""
     build = pipelines.intermediates
 
     def intermediates(J, rc):
         it = build(J, rc)
-        setattr(it, field, getattr(it, field) + ONE)
+        setattr(it, field, getattr(it, field) + by)
         return it
     monkeypatch.setattr(pipelines, "intermediates", intermediates)
 
@@ -743,6 +763,19 @@ class TestClosedFormAndLemmaControls:
         assert res.failure == failure
 
     @pytest.mark.parametrize("field, failure", [
+        ("fbar0", _failure("varpi11", "degree", "1 + (-1/8)x^2", "degree <= 1")),
+        ("fbar1", _failure("varpi12", "degree", "(-1/8)x^2", "degree <= 1")),
+    ])
+    def test_theorem5_varpi_degree_guard(self, monkeypatch, field, failure):
+        # varpi is built before any expansion check reads fbar; an x^2 bump
+        # lifts it past degree 1, so the degree guard names it before the
+        # closed-form comparison
+        _bumped_intermediate(monkeypatch, field, X * X)
+        res = run_theorem5(T5_J, T5_TAU, **self.ORDERS)
+        assert res.status == VIOLATED
+        assert res.failure == failure
+
+    @pytest.mark.parametrize("field, failure", [
         ("p0", _failure("Eq-Da2u0", "moment 0", "0", "2")),
         ("f0", _failure("Eq-Da2u1", "moment 1", "-9", "-10")),
         ("pbar0", _failure("Eq-Dcomplete", "moment 1", "-1", "0")),
@@ -760,6 +793,30 @@ class TestClosedFormAndLemmaControls:
         res = run_theorem4(README_J, **self.ORDERS)
         assert res.status == VIOLATED
         assert res.failure == failure
+
+
+class TestNonAppellFixture:
+    """J_sq passes theorem 4 with Q != P, so its Hahn tag says more than
+    "P is 2-orthogonal", and its a_3 = (1 - 2x)^2 reaches J^(1) and J^(2)."""
+
+    def test_derivative_sequence_differs(self):
+        P, _ = eigen_mps(J_SQ, 13)
+        assert two_orth.fit_2orth_recurrence(P).beta(1) == 1
+        assert hahn.hahn_check(P).beta(1) == R(7, 3)
+
+    def test_a3_term_reaches_j1_and_j2(self, monkeypatch):
+        assert run_theorem4(J_SQ, moment_order=28, check_order=14).status == PASSED
+        transpose = DiffOperator.transpose_apply
+
+        def bumped(J, u, m=0):
+            # J^(m), m >= 1, reads a_3 + x; J's own transpose is untouched
+            if m:
+                J = DiffOperator([*J.a[:3], J.a[3] + X])
+            return transpose(J, u, m)
+        monkeypatch.setattr(DiffOperator, "transpose_apply", bumped)
+        res = run_theorem4(J_SQ, moment_order=28, check_order=14)
+        assert res.status == VIOLATED
+        assert res.failure == _failure("Eq-9.1", "moment 2", "5/3", "2/3")
 
 
 def _first_theorem4_draw(shape):
@@ -784,8 +841,10 @@ def _first_theorem4_draw(shape):
      "dbb500f73d4e4eb3461c42153f3493f34b478fb863592793e7cad1f8ee64729c"),
     (lambda: run_theorem4(_first_theorem4_draw("generic-cubic")), UNMET,
      "e2047c21d302ebc7f5d495394c4575564a6bf3818b6c1722f7d95546da61fbce"),
+    (lambda: run_theorem4(J_SQ), PASSED,
+     "99a46418bb5baba33a9091ca86cb920e07c6c2ada7b7cbbc2563dde553cfe924"),
 ], ids=["theorem4", "theorem5", "identities-operator", "identities-rc",
-        "const-offscale", "generic-cubic"])
+        "const-offscale", "generic-cubic", "j-sq"])
 def test_report_bytes_pinned(run, status, digest):
     """SHA-256 of the canonical report bytes (the CLI's JSON encoding of
     the result) at the default orders 40/24: a refactor keeps every byte."""
@@ -895,10 +954,10 @@ class TestTransportCertification:
             eigen.append(len(P))
             return verify(J, P, lam)
 
-        def counted_transpose(J, u):
-            if not J.shifted_form:
+        def counted_transpose(J, u, m=0):
+            if not m:
                 transposes.append(u)
-            return transpose(J, u)
+            return transpose(J, u, m)
         monkeypatch.setattr(pipelines, "verify_eigen", counted_verify)
         monkeypatch.setattr(DiffOperator, "transpose_apply", counted_transpose)
         return eigen, transposes

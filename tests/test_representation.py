@@ -235,13 +235,6 @@ def test_band_is_kept_and_extended(J, reads):
     assert all(a is b for a, b in zip(J.band(min(reads))[0], kept))
 
 
-def test_band_and_lambda_seq_refuse_a_shifted_operator(sampler):
-    J = random_operator(sampler, 3).shifted(1)
-    for read in (lambda: J.band(4), lambda: J.lambda_seq(0, 4)):
-        with pytest.raises(ValueError, match="band requires a normal-form operator"):
-            read()
-
-
 README_J = DiffOperator([Polynomial([2]), Polynomial([-1, 3]), Polynomial.zero(),
                          Polynomial([1])])
 
