@@ -1,10 +1,14 @@
 """Batch front-end.
 
 Subcommands: classify, eigensolve, verify-theorem4, verify-theorem5,
-verify-identities, hahn, sweep. Inputs come from a JSON config file
-(--config) holding the operator and/or recurrence with every rational as
-a "p/q" string; numeric flags override config values. Each run writes a
-structured JSON report (--out) and prints a one-line verdict.
+verify-identities, hahn, sweep. Each mode reads its own settings, listed
+once in _FIELDS: a flag overrides the JSON config file (--config), which
+overrides the default. The config may hold only the mode's settings and
+the input it reads (an operator, or for verify-identities and hahn an
+operator or a recurrence), every rational as a "p/q" string; any other
+flag or config key is an input error. Each run writes a structured JSON
+report (--out), whose config echoes those settings and that input, and
+prints a one-line verdict.
 
 Exit codes: 0 all checks passed, 1 identity violated (or negative Hahn
 verdict), 2 hypotheses unmet / instance outside theorem scope, 3 input
@@ -46,36 +50,52 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+# Every config field: its key, flag, argparse keywords, default and the
+# modes that read it. A mode takes only its own flags and config keys.
+_VERIFY = ("verify-theorem4", "verify-theorem5", "verify-identities")
+_FIELDS = (
+    ("n_max", "--nmax", {"type": int, "help": "highest degree solved"}, 12,
+     ("classify", "eigensolve", "hahn")),
+    ("moment_order", "--order", {"type": int, "help": "moment order"}, 40,
+     _VERIFY + ("sweep",)),
+    ("check_order", "--check-order", {"type": int, "help": "identity-check order"},
+     24, _VERIFY + ("sweep",)),
+    ("tau", "--tau", {"help": "tau as a rational string (inferred from "
+                              "a_3 = tau a_2 when absent)"}, None,
+     ("verify-theorem5",)),
+    ("seed", "--seed", {"type": int, "help": "sampler seed"}, 0, ("sweep",)),
+    ("draws", "--draws", {"type": int, "help": "number of draws"}, 20, ("sweep",)),
+    ("target", "--target", {"choices": _VERIFY,
+                            "help": "verification a sweep repeats"},
+     "verify-theorem4", ("sweep",)),
+)
+
+
+def _fields(mode):
+    return [row for row in _FIELDS if mode in row[4]]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="duorth",
         description="Exact verification of 2-orthogonal eigenpolynomial "
                     "families of third-order operators")
     sub = parser.add_subparsers(dest="mode", required=True)
-    modes = ("classify", "eigensolve", "verify-theorem4", "verify-theorem5",
-             "verify-identities", "hahn", "sweep")
-    for mode in modes:
+    for mode in _MODES:
         p = sub.add_parser(mode)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", default="duorth-report.json",
                        help="report file path (default duorth-report.json)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--draws", type=int, default=None)
-        p.add_argument("--nmax", type=int, default=None)
-        p.add_argument("--order", type=int, default=None,
-                       help="moment order (default 40)")
-        p.add_argument("--check-order", type=int, default=None,
-                       help="identity-check order (default 24)")
-        p.add_argument("--tau", default=None,
-                       help="tau as a rational string (verify-theorem5)")
-        p.add_argument("--target", default=None,
-                       choices=("verify-theorem4", "verify-theorem5",
-                                "verify-identities"),
-                       help="verification a sweep repeats")
+        for key, flag, kwargs, default, _ in _fields(mode):
+            if default is not None:
+                kwargs = {**kwargs, "help": f"{kwargs['help']} (default {default})"}
+            p.add_argument(flag, dest=key, **kwargs)
     return parser
 
 
 def _load_config(args) -> dict:
+    """The mode's fields, flag over config file over default, and the
+    config's input trees; a config key the mode does not read is an error."""
     cfg = {}
     if args.config:
         try:
@@ -85,44 +105,41 @@ def _load_config(args) -> dict:
             raise InputError(f"cannot read config {args.config}: {exc}")
         if not isinstance(cfg, dict):
             raise InputError("config root must be a JSON object")
-    for flag, key in (("seed", "seed"), ("draws", "draws"), ("nmax", "n_max"),
-                      ("order", "moment_order"), ("check_order", "check_order"),
-                      ("tau", "tau"), ("target", "target")):
-        val = getattr(args, flag)
-        if val is not None:
-            cfg[key] = val
-    cfg.setdefault("n_max", 12)
-    cfg.setdefault("moment_order", 40)
-    cfg.setdefault("check_order", 24)
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("draws", 20)
-    cfg.setdefault("target", "verify-theorem4")
-    for key in ("n_max", "moment_order", "check_order", "seed", "draws"):
-        if type(cfg[key]) is not int:
+    fields = _fields(args.mode)
+    known = {row[0] for row in fields} | set(_MODES[args.mode][1])
+    for key in cfg:
+        if key not in known:
+            raise InputError(f"{args.mode} does not read config key {key!r}")
+    for key, _, kwargs, default, _ in fields:
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+        cfg.setdefault(key, default)
+        if kwargs.get("type") is int and type(cfg[key]) is not int:
             raise InputError(f"config field {key} must be an integer")
-    if not isinstance(cfg["target"], str):
-        raise InputError("config field target must be a string")
-    if cfg["n_max"] < 4:
+    if "n_max" in cfg and cfg["n_max"] < 4:
         raise InputError("n_max must be >= 4")
     return cfg
 
 
-def _get_input(cfg, key, parse, required=True):
-    """The config entry `key` read by `parse`; None when it is absent and
-    not required."""
-    tree = cfg.get(key)
-    if tree is None:
-        if required:
-            raise InputError(f"this mode needs an \"{key}\" in the config")
-        return None
+def _input(cfg, mode):
+    """The one input tree the mode reads, parsed: an operator, or for
+    verify-identities and hahn an operator or a recurrence."""
+    keys = _MODES[mode][1]
+    given = [key for key in keys if key in cfg]
+    if len(given) > 1:
+        raise InputError(f"{mode} takes an operator or a recurrence, not both")
+    if not given:
+        raise InputError(f"{mode} needs an {' or a '.join(keys)}")
+    key = given[0]
+    parse = operator_from_tree if key == "operator" else rc_from_tree
     try:
-        return parse(tree)
+        return parse(cfg[key])
     except (DuorthError, ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
         raise InputError(f"bad {key}: {exc}")
 
 
 def _infer_tau(cfg, J):
-    if cfg.get("tau") is not None:
+    if cfg["tau"] is not None:
         try:
             return rat_from_str(cfg["tau"])
         except (ValueError, TypeError) as exc:
@@ -134,20 +151,8 @@ def _infer_tau(cfg, J):
     return a3[i] / a2[i]
 
 
-def _config_echo(cfg) -> dict:
-    echo = {k: cfg[k] for k in
-            ("n_max", "moment_order", "check_order", "seed", "draws", "target")}
-    if "operator" in cfg:
-        echo["operator"] = cfg["operator"]
-    if "recurrence" in cfg:
-        echo["recurrence"] = cfg["recurrence"]
-    if "tau" in cfg:
-        echo["tau"] = str(cfg["tau"])
-    return echo
-
-
 def _cmd_classify(cfg):
-    J = _get_input(cfg, "operator", operator_from_tree)
+    J = _input(cfg, "classify")
     cls = J.classify_order(cfg["n_max"])
     if cls.classified:
         results = {"classified": True, "k": cls.k,
@@ -161,7 +166,7 @@ def _cmd_classify(cfg):
 
 
 def _cmd_eigensolve(cfg):
-    J = _get_input(cfg, "operator", operator_from_tree)
+    J = _input(cfg, "eigensolve")
     try:
         P, lam = eigen_mps(J, cfg["n_max"])
     except (NonInvertible, RepeatedEigenvalue) as exc:
@@ -197,41 +202,33 @@ def _verify(cfg, mode, run, *args):
 
 
 def _cmd_theorem4(cfg):
-    J = _get_input(cfg, "operator", operator_from_tree)
-    return _verify(cfg, "verify-theorem4", run_theorem4, J)
+    return _verify(cfg, "verify-theorem4", run_theorem4,
+                   _input(cfg, "verify-theorem4"))
 
 
 def _cmd_theorem5(cfg):
-    J = _get_input(cfg, "operator", operator_from_tree)
+    J = _input(cfg, "verify-theorem5")
     return _verify(cfg, "verify-theorem5", run_theorem5, J, _infer_tau(cfg, J))
 
 
 def _cmd_identities(cfg):
-    J = _get_input(cfg, "operator", operator_from_tree, False)
-    rc = _get_input(cfg, "recurrence", rc_from_tree, False)
-    if J is not None:
-        return _verify(cfg, "verify-identities", run_identities_operator, J)
-    if rc is not None:
-        return _verify(cfg, "verify-identities", run_identities_rc, rc)
-    raise InputError("verify-identities needs an operator or a recurrence")
+    run = run_identities_operator if "operator" in cfg else run_identities_rc
+    return _verify(cfg, "verify-identities", run, _input(cfg, "verify-identities"))
 
 
 def _cmd_hahn(cfg):
-    J = _get_input(cfg, "operator", operator_from_tree, False)
-    rc = _get_input(cfg, "recurrence", rc_from_tree, False)
+    source = _input(cfg, "hahn")
     depth = cfg["n_max"] + 1  # n_max >= 4: P_0..P_4 at least
-    if J is not None:
+    if "operator" in cfg:
         try:
-            P, _ = eigen_mps(J, depth)
+            P, _ = eigen_mps(source, depth)
         except (NonInvertible, RepeatedEigenvalue) as exc:
             return EXIT_UNMET, {"error": str(exc)}, f"hahn: {exc}"
-    elif rc is not None:
+    else:
         try:
-            P = generate(rc, depth)
+            P = generate(source, depth)
         except DuorthError as exc:
             raise InputError(f"recurrence too shallow for n_max={cfg['n_max']}: {exc}")
-    else:
-        raise InputError("hahn needs an operator or a recurrence")
     try:
         rc = hahn_check(P)
     except NotTwoOrthogonal as exc:
@@ -257,14 +254,15 @@ def _cmd_sweep(cfg):
     return code, tree, verdict
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "eigensolve": _cmd_eigensolve,
-    "verify-theorem4": _cmd_theorem4,
-    "verify-theorem5": _cmd_theorem5,
-    "verify-identities": _cmd_identities,
-    "hahn": _cmd_hahn,
-    "sweep": _cmd_sweep,
+# mode: its handler and the config inputs it reads
+_MODES = {
+    "classify": (_cmd_classify, ("operator",)),
+    "eigensolve": (_cmd_eigensolve, ("operator",)),
+    "verify-theorem4": (_cmd_theorem4, ("operator",)),
+    "verify-theorem5": (_cmd_theorem5, ("operator",)),
+    "verify-identities": (_cmd_identities, ("operator", "recurrence")),
+    "hahn": (_cmd_hahn, ("operator", "recurrence")),
+    "sweep": (_cmd_sweep, ()),
 }
 
 
@@ -272,19 +270,14 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _load_config(args)
-        code, results, verdict = _HANDLERS[args.mode](cfg)
-        report = {
-            "mode": args.mode,
-            "config": _config_echo(cfg),
-            "exit_code": code,
-            "results": results,
-        }
-        if args.out:
-            try:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-            except OSError as exc:
-                raise InputError(f"cannot write report {args.out}: {exc}")
+        code, results, verdict = _MODES[args.mode][0](cfg)
+        report = {"mode": args.mode, "config": cfg, "exit_code": code,
+                  "results": results}
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write report {args.out}: {exc}")
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

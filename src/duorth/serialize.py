@@ -30,9 +30,9 @@ def rat_to_str(r) -> str:
 def rat_from_str(s) -> Rational:
     """Parse "p/q" or "p" (q != 0); JSON integers are accepted, floats are
     not."""
-    if isinstance(s, bool) or isinstance(s, float):
+    if isinstance(s, float):
         raise ValueError(f"floating point is not accepted: {s!r}")
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Rational(s)
     if isinstance(s, str) and _RAT_FORM.match(s.strip()):
         _, _, den = s.strip().partition("/")

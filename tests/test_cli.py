@@ -1,6 +1,7 @@
 """CLI: config parsing, subcommands, exit codes, report files, determinism."""
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,60 @@ def run_cli(args):
     return main(args)
 
 
+# the depth-8 recurrence beta = alpha = 0, gamma = 1
+RC8 = {"beta": ["0"] * 8, "alpha": ["0"] * 8, "gamma": ["1"] * 8}
+T4_OPERATOR = [["2"], ["-1", "3"], [], ["1"]]
+
+# mode: the flags it takes besides --config and --out, the config it is run
+# with, and the keys its report's config echoes
+MODES = {
+    "classify": ({"--nmax"}, {"operator": [["0"], ["1"]], "n_max": 4},
+                 {"n_max", "operator"}),
+    "eigensolve": ({"--nmax"}, {"operator": T4_OPERATOR, "n_max": 4},
+                   {"n_max", "operator"}),
+    "hahn": ({"--nmax"}, {"recurrence": RC8, "n_max": 4}, {"n_max", "recurrence"}),
+    "verify-theorem4": ({"--order", "--check-order"},
+                        {"operator": T4_OPERATOR, "moment_order": 10, "check_order": 6},
+                        {"moment_order", "check_order", "operator"}),
+    "verify-identities": ({"--order", "--check-order"},
+                          {"recurrence": RC8, "moment_order": 8, "check_order": 4},
+                          {"moment_order", "check_order", "recurrence"}),
+    "verify-theorem5": ({"--order", "--check-order", "--tau"},
+                        {"operator": [["5"], ["1/2", "-2"], ["3/2"], ["1"]],
+                         "moment_order": 20, "check_order": 8},
+                        {"moment_order", "check_order", "tau", "operator"}),
+    "sweep": ({"--seed", "--draws", "--order", "--check-order", "--target"},
+              {"draws": 1, "moment_order": 8, "check_order": 4},
+              {"seed", "draws", "moment_order", "check_order", "target"}),
+}
+FLAG_VALUES = {"--nmax": "5", "--order": "20", "--check-order": "8", "--tau": "1",
+               "--seed": "1", "--draws": "2", "--target": "verify-theorem4"}
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_mode_takes_only_its_settings(tmp_path, capsys, mode):
+    flags, tree, echoed = MODES[mode]
+    with pytest.raises(SystemExit) as exc:
+        run_cli([mode, "-h"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert listed == flags | {"--help", "--config", "--out"}
+
+    cfg = write_config(tmp_path, "c.json", tree)
+    out = tmp_path / "r.json"
+    for flag in sorted(set(FLAG_VALUES) - flags):
+        assert run_cli([mode, "--config", cfg, flag, FLAG_VALUES[flag],
+                        "--out", str(out)]) == 3
+        assert (f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    assert run_cli([mode, "--config", cfg, "--out", str(out)]) != 3
+    config = json.loads(out.read_text())["config"]
+    assert set(config) == echoed
+    assert {key: config[key] for key in tree} == tree
+
+
 class TestClassify:
     def test_derivative_operator(self, tmp_path):
         cfg = write_config(tmp_path, "d.json", {"operator": [["0"], ["1"]]})
@@ -31,10 +86,14 @@ class TestClassify:
         assert res["k"] == 1
         assert res["lambda"][:3] == ["1", "2", "3"]
 
-    def test_orders_not_read(self, tmp_path):
+    def test_orders_not_read(self, tmp_path, capsys):
+        # classify reads no moment order: --order is refused, not ignored
         cfg = write_config(tmp_path, "d.json", {"operator": [["0"], ["1"]]})
+        out = tmp_path / "report.json"
         assert run_cli(["classify", "--config", cfg, "--order", "20",
-                        "--out", str(tmp_path / "report.json")]) == 0
+                        "--out", str(out)]) == 3
+        assert "unrecognized arguments: --order 20" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_not_classifiable(self, tmp_path):
         cfg = write_config(tmp_path, "z.json",
@@ -196,11 +255,13 @@ class TestIdentitiesAndHahn:
         assert run_cli(["hahn", "--config", cfg, "--out", out]) == 0
 
     @pytest.mark.parametrize("operator, code, witness, digest", [
-        ([["1"], ["0", "1"]], 1,
-         {"index": 1, "reason": "gamma_1 = 0 breaks regularity"},
-         "cad524f76afb022a24545923469c739244ee3ca2bdc60014893c07883ffe93a7"),
-        ([["2"], ["-1", "3"], [], ["1"]], 0, None,
-         "6fa15886ff60874c41e8d870f83643e5e9b472828ffaafaa8998cc6c6e2b14de"),
+        pytest.param([["1"], ["0", "1"]], 1,
+                     {"index": 1, "reason": "gamma_1 = 0 breaks regularity"},
+                     "ac716487f7804b186009bd08912f989c09c9d122f45022d50f298aef895bcb75",
+                     id="negative"),
+        pytest.param([["2"], ["-1", "3"], [], ["1"]], 0, None,
+                     "b0a969a2bb752158a9e806cc39a5d594942a8358a617f5c94e2db86cbc30d455",
+                     id="positive"),
     ])
     def test_hahn_report_bytes_pinned(self, tmp_path, operator, code, witness,
                                       digest):
@@ -273,22 +334,27 @@ class TestInputErrors:
         assert run_cli(["classify", "--config", cfg,
                         "--out", str(tmp_path / "r.json")]) == 3
 
-    def test_boolean_integer_field(self, tmp_path):
+    def test_boolean_integer_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bool.json",
-                           {"operator": [["0"], ["1"]], "draws": True})
+                           {"operator": [["0"], ["1"]], "n_max": True})
         assert run_cli(["eigensolve", "--config", cfg,
                         "--out", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err == \
+            "input error: config field n_max must be an integer\n"
 
-    def test_library_order_rule(self, tmp_path):
-        # breaks the pipeline's moment_order >= 6 and 0 <= check_order
+    def test_library_order_rule(self, tmp_path, capsys):
+        # breaks the pipeline's moment_order >= 6 and 0 <= check_order; a
+        # sweep draws its own operators, so its config holds none
+        orders = {"moment_order": 5, "check_order": -7}
         cfg = write_config(tmp_path, "low.json",
-                           {"operator": [["2"], ["-1", "3"], [], ["1"]],
-                            "moment_order": 5, "check_order": -7})
+                           {"operator": [["2"], ["-1", "3"], [], ["1"]], **orders})
         out = str(tmp_path / "r.json")
-        for mode in ("verify-theorem4", "verify-identities", "sweep"):
-            assert run_cli([mode, "--config", cfg, "--out", out]) == 3
-        assert run_cli(["verify-theorem5", "--config", cfg, "--tau", "1",
-                        "--out", out]) == 3
+        for argv in (["verify-theorem4", "--config", cfg],
+                     ["verify-identities", "--config", cfg],
+                     ["verify-theorem5", "--config", cfg, "--tau", "1"],
+                     ["sweep", "--config", write_config(tmp_path, "s.json", orders)]):
+            assert run_cli([*argv, "--out", out]) == 3
+            assert "moment_order must be >= 6" in capsys.readouterr().err
 
     @pytest.mark.parametrize("order", ["6", "7"])
     def test_identities_sweep_order_rule(self, tmp_path, capsys, order):
@@ -312,6 +378,16 @@ class TestInputErrors:
         assert run_cli(["sweep", "--config", cfg,
                         "--out", str(tmp_path / "r.json")]) == 3
         assert "input error: " in capsys.readouterr().err
+
+    def test_empty_out_path(self, tmp_path, capsys):
+        # every run writes its report: an empty path is not a way to skip it
+        cfg = write_config(tmp_path, "t5.json",
+                           {"operator": [["2"], ["-1", "3"], [], ["1"]]})
+        assert run_cli(["verify-theorem5", "--config", cfg, "--tau", "1",
+                        "--order", "10", "--check-order", "6", "--out", ""]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: cannot write report")
+        assert captured.out == ""
 
     def test_out_in_missing_directory(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "d.json", {"operator": [["0"], ["1"]]})
@@ -358,6 +434,25 @@ class TestInputErrors:
         pytest.param("classify", {"operator": [["1/0"]]}, [],
                      "bad operator: zero denominator in '1/0'",
                      id="zero-denominator"),
+        pytest.param("classify", {"operator": [["0"], [True, "3"]]}, [],
+                     "bad operator: not a p/q rational string: True",
+                     id="boolean-coefficient"),
+        pytest.param("classify", {"operator": [["0"], ["1"]], "moment_order": 20}, [],
+                     "classify does not read config key 'moment_order'",
+                     id="key-of-another-mode"),
+        pytest.param("verify-theorem4",
+                     {"operator": [["2"], ["-1", "3"], [], ["1"]], "momentorder": 6}, [],
+                     "verify-theorem4 does not read config key 'momentorder'",
+                     id="mistyped-key"),
+        pytest.param("sweep", {"operator": [["2"], ["-1", "3"], [], ["1"]]}, [],
+                     "sweep does not read config key 'operator'",
+                     id="sweep-operator"),
+        pytest.param("verify-identities", {"operator": [["0"], ["1"]], "recurrence": RC8},
+                     [], "verify-identities takes an operator or a recurrence, not both",
+                     id="identities-operator-and-recurrence"),
+        pytest.param("hahn", {"operator": [["0"], ["1"]], "recurrence": RC8}, [],
+                     "hahn takes an operator or a recurrence, not both",
+                     id="hahn-operator-and-recurrence"),
     ])
     def test_rejected_input(self, tmp_path, capsys, mode, tree, flags, message):
         cfg = write_config(tmp_path, "c.json", tree)
