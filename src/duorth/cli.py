@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import (DuorthError, NonInvertible, NotTwoOrthogonal,
@@ -119,6 +120,24 @@ def _load_config(args) -> dict:
     if "n_max" in cfg and cfg["n_max"] < 4:
         raise InputError("n_max must be >= 4")
     return cfg
+
+
+def _check_out(path):
+    """InputError unless a report can be written at path: its directory
+    exists and is writable, and path is not a directory. Nothing is
+    created or truncated here, so a run that ends in an input error
+    leaves no report."""
+    folder = os.path.dirname(path) or "."
+    if not path or os.path.isdir(path):
+        reason = "not a file path"
+    elif not os.path.isdir(folder):
+        reason = f"no directory {folder}"
+    elif not os.access(folder, os.W_OK) or (
+            os.path.exists(path) and not os.access(path, os.W_OK)):
+        reason = "permission denied"
+    else:
+        return
+    raise InputError(f"cannot write report {path}: {reason}")
 
 
 def _input(cfg, mode):
@@ -270,6 +289,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _load_config(args)
+        _check_out(args.out)
         code, results, verdict = _MODES[args.mode][0](cfg)
         report = {"mode": args.mode, "config": cfg, "exit_code": code,
                   "results": results}

@@ -13,8 +13,8 @@ this module and eigensolver read the band's layout.
 
 integer_form() gives the coefficients as integer numerators over their
 common denominator den, and both actions are one integer pass over den
-with one reduction per result, through binomial weights instead of
-derivative chains:
+with one reduction per result (for a form, when it is first read),
+through binomial weights instead of derivative chains:
   * p^(nu)/nu! has the integer coefficient C(k, nu) p_k at x^(k-nu), so
     J(p) = sum_nu a_nu * (sum_k C(k, nu) p_k x^(k-nu));
   * ((-1)^nu/nu!) D^nu w has the moments C(m, nu) (w)_(m-nu), so
@@ -120,8 +120,8 @@ class DiffOperator:
         Since (D w)_i = -i (w)_(i-1), the term of a_(nu+m) has the moments
         C(i, nu) (a_(nu+m) u)_(i-nu): the result is one forms.mleft per
         nonzero a_(nu+m), read from J's integer form and summed with
-        binomial weights over den * u.den, reduced once. It is reliable to
-        u.order - max degree of the a_(nu+m).
+        binomial weights over den * u.den, reduced once, when first read.
+        It is reliable to u.order - max degree of the a_(nu+m).
         """
         if m < 0:
             raise ValueError("shift must be nonnegative")
@@ -132,14 +132,15 @@ class DiffOperator:
         if u.order < need:
             raise OrderExceeded(
                 f"transpose needs order >= {need}, form has {u.order}")
+        u_nums, u_den = u._raw
         acc = [0] * (u.order - top + 1)
         for nu, a_nu in enumerate(nums):
             if not a_nu:
                 continue
-            w = forms.mleft(a_nu, u.nums)
+            w = forms.mleft(a_nu, u_nums)
             for i in range(nu, len(acc)):
                 acc[i] += comb(i, nu) * w[i - nu]
-        return MomentForm.from_pair(tuple(acc), den * u.den)
+        return MomentForm._result(tuple(acc), den * u_den)
 
     def band(self, n_max: int) -> tuple:
         """(band, den): J's upper-triangular matrix in the monomial basis,

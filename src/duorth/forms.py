@@ -4,10 +4,13 @@ A MomentForm of order N stores the moments (u)_0 .. (u)_N as integer
 numerators over one shared denominator, in the canonical pair (nums, den)
 of the exact vector core it shares with poly.Polynomial (storage,
 from_pair, equality, hash, negation, zero test): len(nums) = N + 1, so
-the zero form of order N is ((0,) * (N + 1), 1). The form's own kernel
-primitives (mleft, mderive, mact) run on the integers and each result is
-reduced once; the moments are Rationals only at the boundary (moments,
-moment, act's value).
+the zero form of order N is ((0,) * (N + 1), 1). The kernel primitives
+(mleft, mderive, mact), +, -, scalar * and DiffOperator.transpose_apply
+run on the integers, and a result keeps its unreduced pair: the one
+reduction runs when its canonical pair is first read (nums, den, ==,
+hash, moments, moment, serialization). require_equal cross-multiplies
+unreduced pairs, so a result compared once and dropped is never reduced.
+The moments are Rationals only at the boundary (moments, moment, act).
 
 Every operation records the exact largest reliable order of its result:
 derivation keeps the order, left-multiplication by a polynomial of degree
@@ -20,7 +23,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .backend import Rat as Rational
-from .backend import mact, mderive, mleft, qcommon
+from .backend import mact, mderive, mleft, qcommon, qreduce
 from .errors import IdentityViolated, OrderExceeded
 from .poly import Polynomial, Scalar, _ExactVector, as_rational, common_denominator
 
@@ -30,13 +33,31 @@ __all__ = ["MomentForm"]
 class MomentForm(_ExactVector):
     """Truncated linear functional: moments (u)_n for 0 <= n <= order."""
 
-    __slots__ = ()
+    __slots__ = ("_raw",)  # the pair arithmetic reads, unreduced until read
 
     def __init__(self, moments: Iterable[Scalar]):
         nums, den = common_denominator(moments)
         if not nums:
             raise ValueError("a moment form needs at least the moment (u)_0")
         self.nums, self.den = nums, den
+
+    @classmethod
+    def _result(cls, nums: tuple, den: int) -> "MomentForm":
+        """The form nums/den (den > 0), reduced when first read."""
+        u = object.__new__(cls)
+        u._raw = nums, den
+        return u
+
+    def __getattr__(self, name):
+        # an unset slot: a result's pair is reduced now and kept as _raw
+        # too; a form built canonical takes its own pair as _raw
+        if name == "_raw":
+            self._raw = _ExactVector.nums.__get__(self), _ExactVector.den.__get__(self)
+        elif name in ("nums", "den"):
+            self.nums, self.den = self._raw = qreduce(*MomentForm._raw.__get__(self))
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
 
     @classmethod
     def zero(cls, order: int) -> "MomentForm":
@@ -46,7 +67,7 @@ class MomentForm(_ExactVector):
 
     @property
     def order(self) -> int:
-        return len(self.nums) - 1
+        return len(self._raw[0]) - 1
 
     def moment(self, n: int) -> Rational:
         if n > self.order:
@@ -58,7 +79,8 @@ class MomentForm(_ExactVector):
         if p.degree > self.order:
             raise OrderExceeded(
                 f"acting on degree {p.degree} needs moments past order {self.order}")
-        return Rational(mact(p.nums, self.nums), p.den * self.den)
+        nums, den = self._raw
+        return Rational(mact(p.nums, nums), p.den * den)
 
     def left_mul(self, f: Polynomial) -> "MomentForm":
         """The form f*u, with (fu)_n = sum_i f_i (u)_{n+i}.
@@ -70,29 +92,32 @@ class MomentForm(_ExactVector):
         if f.degree > self.order:
             raise OrderExceeded(
                 f"left-multiplying by degree {f.degree} needs moments past order {self.order}")
-        return self.from_pair(mleft(f.nums, self.nums), f.den * self.den)
+        nums, den = self._raw
+        return self._result(mleft(f.nums, nums), f.den * den)
 
     def derivative(self) -> "MomentForm":
         """The form Du with (Du)_n = -n (u)_{n-1}; order is preserved."""
-        return self.from_pair(mderive(self.nums), self.den)
+        nums, den = self._raw
+        return self._result(mderive(nums), den)
 
     def _common(self, other: "MomentForm") -> tuple:
         """Both moment vectors clamped to the common order, over one denominator."""
-        n = min(self.order, other.order) + 1
-        return qcommon(self.nums[:n], self.den, other.nums[:n], other.den)
+        (a, da), (b, db) = self._raw, other._raw
+        n = min(len(a), len(b))
+        return qcommon(a[:n], da, b[:n], db)
 
     def __add__(self, other: "MomentForm") -> "MomentForm":
         a, b, den = self._common(other)
-        return self.from_pair(tuple([x + y for x, y in zip(a, b)]), den)
+        return self._result(tuple([x + y for x, y in zip(a, b)]), den)
 
     def __sub__(self, other: "MomentForm") -> "MomentForm":
         a, b, den = self._common(other)
-        return self.from_pair(tuple([x - y for x, y in zip(a, b)]), den)
+        return self._result(tuple([x - y for x, y in zip(a, b)]), den)
 
     def __mul__(self, scalar) -> "MomentForm":
         s = as_rational(scalar)
-        return self.from_pair(tuple([m * s.numerator for m in self.nums]),
-                          self.den * s.denominator)
+        nums, den = self._raw
+        return self._result(tuple([m * s.numerator for m in nums]), den * s.denominator)
 
     def __repr__(self):
         shown = ", ".join(str(self.moment(n)) for n in range(min(6, len(self.nums))))
@@ -126,7 +151,8 @@ def require_equal(lhs: MomentForm, rhs: MomentForm, upto: int, tag: str):
         raise OrderExceeded(
             f"{tag}: comparison to order {upto} exceeds reliable orders "
             f"{lhs.order}/{rhs.order}")
-    a, b, _ = qcommon(lhs.nums[: upto + 1], lhs.den, rhs.nums[: upto + 1], rhs.den)
+    (an, ad), (bn, bd) = lhs._raw, rhs._raw
+    a, b, _ = qcommon(an[: upto + 1], ad, bn[: upto + 1], bd)
     if a != b:
         j = next(j for j, (x, y) in enumerate(zip(a, b)) if x != y)
         raise IdentityViolated(tag, f"moment {j}", lhs.moment(j), rhs.moment(j))

@@ -10,8 +10,9 @@ equality and hashing, negation, the zero test and the Rational readout;
 each subclass keeps its own arithmetic. A Polynomial's nums ascend with
 no trailing zeros, and the zero polynomial is ((), 1) with degree
 MINUS_INF. Arithmetic runs the kernel primitives on the integers and
-reduces once per result; the coefficients are Rationals only at the
-boundary (coeffs, __getitem__, leading), which no hot loop reads.
+reduces once per result, as it is built (a form: when first read); the
+coefficients are Rationals only at the boundary (coeffs, __getitem__,
+leading), which no hot loop reads.
 """
 from __future__ import annotations
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import duorth.cli as cli
 import duorth.pipelines as pipelines
 from duorth.cli import main
 
@@ -501,3 +502,42 @@ def test_console_script_runs(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "k=1" in proc.stdout
+
+
+@pytest.mark.parametrize("out, reason", [
+    ("missing/x.json", "no directory {tmp}/missing"),
+    ("", "not a file path"),
+    (".", "not a file path"),
+], ids=["missing-directory", "empty", "directory"])
+def test_unwritable_report_path_refused_before_the_mode_runs(
+        tmp_path, capsys, monkeypatch, out, reason):
+    """The report path is checked before the mode runs: a sweep that could
+    not write its report computes none of its draws, and no report or
+    directory is left behind."""
+    calls = []
+    handler, inputs = cli._MODES["sweep"]
+
+    def counted(cfg):
+        calls.append(cfg)
+        return handler(cfg)
+    monkeypatch.setitem(cli._MODES, "sweep", (counted, inputs))
+    path = str(tmp_path / out) if out else out
+    assert run_cli(["sweep", "--seed", "7", "--draws", "20", "--order", "80",
+                    "--check-order", "64", "--out", path]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"input error: cannot write report {path}: "
+                   f"{reason.format(tmp=tmp_path)}\n")
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writable_report_path_is_not_created_before_an_input_error(tmp_path, capsys):
+    # the early path check opens nothing: an input error the mode raises
+    # still leaves no report, and an existing report keeps its bytes
+    out = tmp_path / "r.json"
+    assert run_cli(["sweep", "--draws", "0", "--out", str(out)]) == 3
+    assert not out.exists()
+    out.write_text("kept\n")
+    assert run_cli(["sweep", "--draws", "0", "--out", str(out)]) == 3
+    assert out.read_text() == "kept\n"
+    assert capsys.readouterr().err.count("input error: ") == 2
